@@ -125,7 +125,9 @@ void AddArgs(benchmark::internal::Benchmark* b) {
   // concurrency below the partition count) the partitions timeshare, and
   // the series instead demonstrates the shared-nothing property that
   // aggregate capacity is conserved (no cross-partition coordination cost).
-  // EXPERIMENTS.md records which regime a given run was in.
+  // For a repeated, seeded measurement of the 2-partition ratio, run
+  // perfbench's `linear-road` workload and read its `lr_scale_2p`
+  // (perfbench/README.md).
   unsigned hw = std::thread::hardware_concurrency();
   b->Arg(1);
   b->Arg(2);

@@ -110,10 +110,13 @@ size_t Value::Hash() const {
       double v = as_double();
       if (v == 0.0) v = 0.0;  // normalize -0.0
       // Hash an integral double identically to the equal BIGINT so that
-      // numeric cross-type equality implies hash equality.
-      int64_t as_int = static_cast<int64_t>(v);
-      if (static_cast<double>(as_int) == v) {
-        return FnvHash(&as_int, sizeof(as_int));
+      // numeric cross-type equality implies hash equality. The range check
+      // keeps the cast defined: NaN and doubles beyond int64 are not cast.
+      if (v >= -0x1p63 && v < 0x1p63) {
+        int64_t as_int = static_cast<int64_t>(v);
+        if (static_cast<double>(as_int) == v) {
+          return FnvHash(&as_int, sizeof(as_int));
+        }
       }
       return FnvHash(&v, sizeof(v));
     }

@@ -1,8 +1,9 @@
 #include "query/executor.h"
 
 #include <algorithm>
-#include <map>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 
 namespace sstore {
 
@@ -28,6 +29,96 @@ Status ValidateProjection(const Table& table,
   return Status::OK();
 }
 
+// Below this magnitude every int64 converts to double exactly, so when
+// Value::Compare equates a BIGINT with a TIMESTAMP numerically the two hold
+// the same int64 and hash alike.
+constexpr int64_t kExactIntInDouble = int64_t{1} << 53;
+
+// The literal that may probe an index on `column`: one bound to it by `eqs`
+// whose type is the column's schema type (so never NULL). DOUBLE columns never
+// probe: Value::Compare equates NaN with every double, which no hash matches.
+const Value* ProbeLiteral(const Schema& schema, size_t column,
+                          const std::vector<ColumnEquality>& eqs) {
+  ValueType type = schema.column(column).type;
+  if (type == ValueType::kDouble) return nullptr;
+  for (const ColumnEquality& eq : eqs) {
+    if (eq.column != column || eq.literal.type() != type) continue;
+    if (type != ValueType::kString &&
+        (eq.literal.as_int64() <= -kExactIntInDouble ||
+         eq.literal.as_int64() >= kExactIntInDouble)) {
+      continue;
+    }
+    return &eq.literal;
+  }
+  return nullptr;
+}
+
+// The access path. When `predicate` binds every key column of one of the
+// table's hash indexes, returns that index's row ids for the key in slot
+// order: a superset of the rows the predicate accepts. Of several such
+// indexes a unique one wins, then the one with more key columns. Otherwise
+// nullopt: only a scan can find the rows.
+std::optional<std::vector<RowId>> IndexCandidates(const Table& table,
+                                                  const ExprPtr& predicate) {
+  if (predicate == nullptr || table.indexes().empty()) return std::nullopt;
+  std::vector<ColumnEquality> eqs;
+  predicate->CollectEqualities(&eqs);
+  if (eqs.empty()) return std::nullopt;
+  const HashIndex* best = nullptr;
+  Tuple best_key;
+  auto rank = [](const HashIndex* idx) {
+    return std::make_pair(idx->unique(), idx->key_columns().size());
+  };
+  for (const auto& idx : table.indexes()) {
+    if (best != nullptr && rank(idx.get()) <= rank(best)) continue;
+    Tuple key;
+    for (size_t c : idx->key_columns()) {
+      const Value* lit = ProbeLiteral(table.schema(), c, eqs);
+      if (lit == nullptr) break;
+      key.push_back(*lit);
+    }
+    if (key.size() < idx->key_columns().size()) continue;
+    best = idx.get();
+    best_key = std::move(key);
+  }
+  if (best == nullptr) return std::nullopt;
+  std::vector<RowId> rids = best->Lookup(best_key);
+  std::sort(rids.begin(), rids.end());
+  return rids;
+}
+
+// Calls `fn(rid, row)` in slot order for every row `predicate` accepts,
+// skipping staged rows unless `include_staged`; `fn` returns false to stop.
+// Index candidates are re-checked against the full predicate, so both paths
+// visit the same rows in the same order.
+template <typename Fn>
+Status ForEachMatch(const Table& table, const ExprPtr& predicate,
+                    bool include_staged, Fn&& fn) {
+  Status err = Status::OK();
+  auto visit = [&](RowId rid, const Tuple& row) {
+    Result<bool> match = EvalPredicate(predicate, row);
+    if (!match.ok()) {
+      err = match.status();
+      return false;
+    }
+    return !*match || fn(rid, row);
+  };
+  if (std::optional<std::vector<RowId>> rids =
+          IndexCandidates(table, predicate)) {
+    for (RowId rid : *rids) {
+      SSTORE_ASSIGN_OR_RETURN(const RowMeta* meta, table.GetMeta(rid));
+      if (!include_staged && !meta->active) continue;
+      SSTORE_ASSIGN_OR_RETURN(const Tuple* row, table.Get(rid));
+      if (!visit(rid, *row)) break;
+    }
+  } else {
+    table.ForEach([&](RowId rid, const Tuple& row,
+                      const RowMeta&) { return visit(rid, row); },
+                  include_staged);
+  }
+  return err;
+}
+
 }  // namespace
 
 void SortTuples(std::vector<Tuple>* rows,
@@ -49,22 +140,14 @@ Result<std::vector<Tuple>> Executor::Scan(const ScanSpec& spec) const {
   }
   SSTORE_RETURN_NOT_OK(ValidateProjection(*spec.table, spec.projection));
   std::vector<Tuple> out;
-  Status err = Status::OK();
   // With ordering we must collect everything before applying the limit.
   bool early_limit = spec.order_by.empty() && spec.limit.has_value();
-  spec.table->ForEach(
-      [&](RowId, const Tuple& row, const RowMeta&) {
-        Result<bool> match = EvalPredicate(spec.predicate, row);
-        if (!match.ok()) {
-          err = match.status();
-          return false;
-        }
-        if (!*match) return true;
+  SSTORE_RETURN_NOT_OK(ForEachMatch(
+      *spec.table, spec.predicate, spec.include_staged,
+      [&](RowId, const Tuple& row) {
         out.push_back(Project(row, spec.projection));
         return !(early_limit && out.size() >= *spec.limit);
-      },
-      spec.include_staged);
-  SSTORE_RETURN_NOT_OK(err);
+      }));
   SortTuples(&out, spec.order_by);
   if (spec.limit.has_value() && out.size() > *spec.limit) {
     out.resize(*spec.limit);
@@ -94,11 +177,17 @@ Result<std::vector<Tuple>> Executor::IndexScan(
 }
 
 Result<size_t> Executor::Count(Table* table, const ExprPtr& predicate) const {
-  ScanSpec spec;
-  spec.table = table;
-  spec.predicate = predicate;
-  SSTORE_ASSIGN_OR_RETURN(std::vector<Tuple> rows, Scan(spec));
-  return rows.size();
+  if (table == nullptr) {
+    return Status::InvalidArgument("count requires a table");
+  }
+  if (predicate == nullptr) return table->active_count();
+  size_t n = 0;
+  SSTORE_RETURN_NOT_OK(ForEachMatch(*table, predicate, /*include_staged=*/false,
+                                    [&](RowId, const Tuple&) {
+                                      ++n;
+                                      return true;
+                                    }));
+  return n;
 }
 
 Result<std::vector<Tuple>> Executor::Aggregate(const AggregateSpec& spec) const {
@@ -139,14 +228,9 @@ Result<std::vector<Tuple>> Executor::Aggregate(const AggregateSpec& spec) const 
   }
 
   Status err = Status::OK();
-  spec.table->ForEach(
-      [&](RowId, const Tuple& row, const RowMeta&) {
-        Result<bool> match = EvalPredicate(spec.predicate, row);
-        if (!match.ok()) {
-          err = match.status();
-          return false;
-        }
-        if (!*match) return true;
+  Status visited = ForEachMatch(
+      *spec.table, spec.predicate, spec.include_staged,
+      [&](RowId, const Tuple& row) {
         Tuple key;
         key.reserve(spec.group_by.size());
         for (size_t c : spec.group_by) key.push_back(row[c]);
@@ -188,8 +272,8 @@ Result<std::vector<Tuple>> Executor::Aggregate(const AggregateSpec& spec) const 
           }
         }
         return true;
-      },
-      spec.include_staged);
+      });
+  SSTORE_RETURN_NOT_OK(visited);
   SSTORE_RETURN_NOT_OK(err);
 
   std::vector<Tuple> out;
@@ -280,19 +364,11 @@ Result<size_t> Executor::Delete(Table* table, const ExprPtr& predicate,
     return Status::InvalidArgument("delete requires a table");
   }
   std::vector<RowId> victims;
-  Status err = Status::OK();
-  table->ForEach(
-      [&](RowId rid, const Tuple& row, const RowMeta&) {
-        Result<bool> match = EvalPredicate(predicate, row);
-        if (!match.ok()) {
-          err = match.status();
-          return false;
-        }
-        if (*match) victims.push_back(rid);
-        return true;
-      },
-      include_staged);
-  SSTORE_RETURN_NOT_OK(err);
+  SSTORE_RETURN_NOT_OK(ForEachMatch(*table, predicate, include_staged,
+                                    [&](RowId rid, const Tuple&) {
+                                      victims.push_back(rid);
+                                      return true;
+                                    }));
   for (RowId rid : victims) {
     SSTORE_RETURN_NOT_OK(DeleteRow(table, rid));
   }
@@ -322,19 +398,11 @@ Result<size_t> Executor::Update(Table* table, const ExprPtr& predicate,
     }
   }
   std::vector<RowId> victims;
-  Status err = Status::OK();
-  table->ForEach(
-      [&](RowId rid, const Tuple& row, const RowMeta&) {
-        Result<bool> match = EvalPredicate(predicate, row);
-        if (!match.ok()) {
-          err = match.status();
-          return false;
-        }
-        if (*match) victims.push_back(rid);
-        return true;
-      },
-      include_staged);
-  SSTORE_RETURN_NOT_OK(err);
+  SSTORE_RETURN_NOT_OK(ForEachMatch(*table, predicate, include_staged,
+                                    [&](RowId rid, const Tuple&) {
+                                      victims.push_back(rid);
+                                      return true;
+                                    }));
   for (RowId rid : victims) {
     SSTORE_ASSIGN_OR_RETURN(const Tuple* cur, table->Get(rid));
     Tuple next = *cur;

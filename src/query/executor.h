@@ -14,13 +14,23 @@ namespace sstore {
 /// MutationLog (when present) *before* this call returns, so a transaction
 /// can undo them in reverse order. The executor is stateless apart from that
 /// hook; it is cheap to construct per transaction.
+///
+/// Access paths: Scan, Count, Aggregate, Update and Delete probe a table's
+/// hash index instead of scanning it when the predicate's top-level ANDs
+/// bind every key column of that index to a non-NULL literal of the column's
+/// type (`col = literal`; DOUBLE columns and integers beyond +-2^53 are
+/// excepted, see executor.cc). The index's row ids are visited in slot order
+/// and re-checked against the full predicate, so results, victim order and
+/// undo order equal a scan's. The one difference: a predicate that fails to
+/// evaluate on a row the index rules out does not fail the statement.
+/// Otherwise the table is scanned.
 class Executor {
  public:
   explicit Executor(MutationLog* mlog = nullptr) : mlog_(mlog) {}
 
   // ---- Reads ----
 
-  /// Sequential scan with optional predicate / projection / order / limit.
+  /// Scan with optional predicate / projection / order / limit.
   Result<std::vector<Tuple>> Scan(const ScanSpec& spec) const;
 
   /// Point/equality lookup via a named hash index, with optional residual
@@ -31,7 +41,7 @@ class Executor {
                                        const ExprPtr& residual = nullptr,
                                        std::vector<size_t> projection = {}) const;
 
-  /// Number of rows matching `predicate` (COUNT(*) shortcut).
+  /// Number of rows matching `predicate` (COUNT(*) without copying rows).
   Result<size_t> Count(Table* table, const ExprPtr& predicate = nullptr) const;
 
   /// GROUP BY aggregation (see AggregateSpec).

@@ -20,6 +20,7 @@ class ColExpr : public Expr {
   std::string ToString() const override {
     return "col" + std::to_string(index_);
   }
+  size_t index() const { return index_; }
 
  private:
   size_t index_;
@@ -30,6 +31,7 @@ class LitExpr : public Expr {
   explicit LitExpr(Value v) : value_(std::move(v)) {}
   Result<Value> Eval(const Tuple&) const override { return value_; }
   std::string ToString() const override { return value_.ToString(); }
+  const Value& value() const { return value_; }
 
  private:
   Value value_;
@@ -90,6 +92,19 @@ class CmpExpr : public Expr {
   std::string ToString() const override {
     return "(" + lhs_->ToString() + " " + CmpOpName(op_) + " " +
            rhs_->ToString() + ")";
+  }
+
+  void CollectEqualities(std::vector<ColumnEquality>* out) const override {
+    if (op_ != CmpOp::kEq) return;
+    const auto* col = dynamic_cast<const ColExpr*>(lhs_.get());
+    const auto* lit = dynamic_cast<const LitExpr*>(rhs_.get());
+    if (col == nullptr || lit == nullptr) {
+      col = dynamic_cast<const ColExpr*>(rhs_.get());
+      lit = dynamic_cast<const LitExpr*>(lhs_.get());
+    }
+    if (col != nullptr && lit != nullptr) {
+      out->push_back({col->index(), lit->value()});
+    }
   }
 
  private:
@@ -210,6 +225,12 @@ class LogicExpr : public Expr {
         return "(" + lhs_->ToString() + " OR " + rhs_->ToString() + ")";
     }
     return "?";
+  }
+
+  void CollectEqualities(std::vector<ColumnEquality>* out) const override {
+    if (op_ != LogicOp::kAnd) return;
+    lhs_->CollectEqualities(out);
+    rhs_->CollectEqualities(out);
   }
 
  private:

@@ -17,6 +17,12 @@ enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 /// is an error); mixed or double operands produce DOUBLE.
 enum class ArithOp { kAdd, kSub, kMul, kDiv, kMod };
 
+/// One `col = literal` conjunct of a predicate (either operand order).
+struct ColumnEquality {
+  size_t column;
+  Value literal;
+};
+
 /// A scalar expression evaluated against one row. Booleans are represented
 /// as BIGINT 0/1 (SQL-style, but without three-valued logic: comparisons
 /// against NULL evaluate to false).
@@ -25,6 +31,12 @@ class Expr {
   virtual ~Expr() = default;
   virtual Result<Value> Eval(const Tuple& row) const = 0;
   virtual std::string ToString() const = 0;
+
+  /// Appends the `col = literal` conjuncts under this predicate's top-level
+  /// ANDs: every row the predicate accepts satisfies each of them. Nothing
+  /// under OR or NOT is reported, and neither is `col = col`. The executor
+  /// uses these to pick an index (see Executor).
+  virtual void CollectEqualities(std::vector<ColumnEquality>*) const {}
 };
 
 using ExprPtr = std::shared_ptr<const Expr>;

@@ -76,6 +76,8 @@ Builder& AddLinearRoadDdl(Builder& b) {
                                           {"minute", ValueType::kBigInt},
                                           {"vehicle_count", ValueType::kBigInt},
                                           {"toll", ValueType::kDouble}}))
+      // The per-crossing toll lookup's point predicate probes this.
+      .CreateIndex("lr_segstats", "by_seg", {"xway", "seg"}, /*unique=*/false)
       .CreateTable("lr_accidents", Schema({{"xway", ValueType::kBigInt},
                                            {"seg", ValueType::kBigInt},
                                            {"since_sec", ValueType::kBigInt},
