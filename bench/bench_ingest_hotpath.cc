@@ -14,7 +14,8 @@
 //                              through a keyed ClusterInjector, per-
 //                              invocation vs batched.
 //   BM_BackpressureCpu       — producer CPU burned while throttled at a
-//                              queue-depth limit: blocking cv vs yield-spin.
+//                              queue-depth limit (blocking cv; the retired
+//                              yield-spin baseline is in BENCH_pr2.json).
 //
 // The acceptance gate for PR 2 compares BM_SubmitBatch against
 // BM_SubmitPerInvocation (items_per_second, same machine): batched must be
@@ -46,7 +47,7 @@
 
 #include "cluster/cluster.h"
 #include "cluster/cluster_injector.h"
-#include "cluster/deployment.h"
+#include "cluster/topology.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "streaming/injector.h"
@@ -54,11 +55,9 @@
 
 namespace {
 
-using sstore::BackpressureMode;
 using sstore::BatchTicketPtr;
 using sstore::Cluster;
 using sstore::ClusterInjector;
-using sstore::DeploymentPlan;
 using sstore::Invocation;
 using sstore::LambdaProcedure;
 using sstore::ProcContext;
@@ -67,6 +66,7 @@ using sstore::SStore;
 using sstore::Status;
 using sstore::StreamInjector;
 using sstore::TicketPtr;
+using sstore::TopologyBuilder;
 using sstore::Tuple;
 using sstore::Value;
 
@@ -204,9 +204,9 @@ void BM_ClusterIngest(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     Cluster cluster(partitions);
-    DeploymentPlan plan;
-    plan.RegisterProcedure("nop", SpKind::kBorder, NopProc());
-    if (!cluster.Deploy(plan).ok()) {
+    TopologyBuilder topo("nop");
+    topo.RegisterProcedure("nop", SpKind::kBorder, NopProc());
+    if (!cluster.Deploy(topo.BuildOrDie()).ok()) {
       state.SkipWithError("deployment failed");
       return;
     }
@@ -256,7 +256,7 @@ void BM_ClusterIngest(benchmark::State& state) {
                           kItemsPerProducer);
 }
 
-// ---- Backpressure CPU: blocking vs spinning --------------------------------
+// ---- Backpressure CPU: a throttled producer sleeps ------------------------
 
 #ifdef __linux__
 double ThreadCpuSeconds() {
@@ -272,7 +272,6 @@ double ThreadCpuSeconds() { return 0.0; }
 #endif
 
 void BM_BackpressureCpu(benchmark::State& state) {
-  const bool blocking = state.range(0) != 0;
   constexpr int kItems = 2'000;
 
   double cpu_frac_sum = 0;
@@ -291,8 +290,6 @@ void BM_BackpressureCpu(benchmark::State& state) {
     store.Start();
     StreamInjector::Options opts;
     opts.max_queue_depth = 8;
-    opts.backpressure =
-        blocking ? BackpressureMode::kBlock : BackpressureMode::kSpin;
     StreamInjector injector(&store.partition(), "slow", opts);
     state.ResumeTiming();
 
@@ -316,8 +313,8 @@ void BM_BackpressureCpu(benchmark::State& state) {
     store.Stop();
     state.ResumeTiming();
   }
-  // Producer CPU per wall second while throttled: ~0 for blocking, ~1 for
-  // the spin mode (modulo what the single worker core steals).
+  // Producer CPU per wall second while throttled: ~0 (a yield-spinning
+  // producer measured ~0.87 here, BENCH_pr2.json).
   state.counters["producer_cpu_frac"] =
       cpu_frac_sum / static_cast<double>(state.iterations());
   state.SetItemsProcessed(state.iterations() * kItems);
@@ -341,9 +338,6 @@ BENCHMARK(BM_ClusterIngest)
     ->UseRealTime()
     ->Iterations(1);
 BENCHMARK(BM_BackpressureCpu)
-    ->ArgName("blocking")
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->Iterations(3);

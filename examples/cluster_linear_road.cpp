@@ -1,9 +1,10 @@
 // Linear Road on a multi-partition cluster (paper §4.7 / Figure 11).
 //
-// One Cluster owns N shared-nothing partitions; one DeploymentPlan installs
-// the identical two-SP workflow on every partition; a keyed ClusterInjector
-// routes each position report by its x-way column, so x-way w always lands
-// on partition w % N and per-x-way report order is preserved end to end.
+// One Cluster owns N shared-nothing partitions; one replicated Topology
+// installs the identical two-SP workflow on every partition; a keyed
+// ClusterInjector routes each position report by its x-way column, so x-way
+// w always lands on partition w % N and per-x-way report order is preserved
+// end to end.
 //
 // `--placed` switches to the placement-aware topology instead (the paper's
 // distributed direction): the ingest stage stays keyed by x-way on the
@@ -99,8 +100,8 @@ int main(int argc, char** argv) {
   // Supplemental OLTP procedure for the multi-partition probe: counts this
   // partition's tracked vehicles. ExecuteOnAll runs it atomically on every
   // partition; the client sums the fragments for a network-wide total.
-  DeploymentPlan probe_plan;
-  probe_plan.RegisterProcedure(
+  TopologyBuilder probe("xway_probe");
+  probe.RegisterProcedure(
       "xway_probe", SpKind::kOltp,
       std::make_shared<LambdaProcedure>([](ProcContext& ctx) {
         SSTORE_ASSIGN_OR_RETURN(Table * vehicles, ctx.table("lr_vehicles"));
@@ -108,7 +109,8 @@ int main(int argc, char** argv) {
             static_cast<int64_t>(vehicles->row_count()))});
         return Status::OK();
       }));
-  if (!cluster.Deploy(probe_plan).ok()) return 1;
+  Result<Topology> probe_topology = probe.Build();
+  if (!probe_topology.ok() || !cluster.Deploy(*probe_topology).ok()) return 1;
   cluster.Start();
 
   // --- Keyed injection: column 2 of a position report is the x-way. ---

@@ -10,7 +10,7 @@
 #include <cstring>
 #include <memory>
 
-#include "cluster/deployment.h"
+#include "cluster/topology.h"
 #include "query/expr.h"
 #include "streaming/injector.h"
 #include "streaming/sstore.h"
@@ -20,19 +20,19 @@ using namespace sstore;  // NOLINT: example brevity
 namespace {
 
 // A tiny bank-deposit pipeline: deposits stream in; the interior SP applies
-// them to an accounts table. One plan describes the app; recovery re-applies
-// it to a blank store before replay — exactly why the builder records steps
-// instead of executing them ad hoc.
-DeploymentPlan BuildBankPlan() {
+// them to an accounts table. One topology describes the app; recovery
+// re-applies it to a blank store before replay — exactly why the builder
+// records steps instead of executing them ad hoc.
+Result<Topology> BuildBankTopology() {
   Schema deposit({{"account", ValueType::kBigInt}, {"amount", ValueType::kBigInt}});
-  DeploymentPlan plan;
-  plan.DefineStream("deposits", deposit)
+  TopologyBuilder app("bank");
+  app.DefineStream("deposits", deposit)
       .CreateTable("accounts", deposit)
       .CreateIndex("accounts", "pk", {"account"}, /*unique=*/true);
   for (int64_t a = 0; a < 4; ++a) {
-    plan.InsertRow("accounts", {Value::BigInt(a), Value::BigInt(0)});
+    app.InsertRow("accounts", {Value::BigInt(a), Value::BigInt(0)});
   }
-  plan.RegisterProcedure(
+  app.RegisterProcedure(
           "ingest", SpKind::kBorder,
           std::make_shared<LambdaProcedure>([](ProcContext& ctx) {
             return ctx.EmitToStream("deposits", {ctx.params()});
@@ -66,11 +66,14 @@ DeploymentPlan BuildBankPlan() {
   n2.input_streams = {"deposits"};
   (void)wf.AddNode(n1);
   (void)wf.AddNode(n2);
-  plan.DeployWorkflow(std::move(wf));
-  return plan;
+  app.AddWorkflow(wf);
+  return app.Build();
 }
 
-Status SetupApp(SStore& store) { return BuildBankPlan().ApplyTo(store); }
+Status SetupApp(SStore& store) {
+  SSTORE_ASSIGN_OR_RETURN(Topology topology, BuildBankTopology());
+  return topology.ApplyTo(store, 0);
+}
 
 int64_t TotalBalance(SStore& store) {
   Table* accounts = *store.catalog().GetTable("accounts");

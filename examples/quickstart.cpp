@@ -9,18 +9,17 @@
 //                               ^
 //        [lookup (OLTP SP)] ----+   (clients query totals transactionally)
 //
-// The DeploymentPlan built below applies unchanged to a single store
-// (here) or to every partition of a Cluster; swap it for a TopologyBuilder
-// (cluster/topology.h — same fluent steps plus per-stage placements) to
-// pin or key stages across partitions, and see docs/ARCHITECTURE.md for
-// where the cluster, coordinator, channel, and rebalancing layers pick up
-// from this program.
+// The Topology built below applies unchanged to a single store (here, as
+// partition 0) or to every partition of a Cluster; give its stages
+// placements (cluster/topology.h) to pin or key them across partitions,
+// and see docs/ARCHITECTURE.md for where the cluster, coordinator,
+// channel, and rebalancing layers pick up from this program.
 //
 // Build: cmake --build build && ./build/examples/quickstart
 
 #include <cstdio>
 
-#include "cluster/deployment.h"
+#include "cluster/topology.h"
 #include "query/expr.h"
 #include "streaming/injector.h"
 #include "streaming/sstore.h"
@@ -28,16 +27,16 @@
 using namespace sstore;  // NOLINT: example brevity
 
 int main() {
-  // One DeploymentPlan describes the whole application — DDL, stored
-  // procedures, and workflow wiring. The same plan applies unchanged to a
-  // single store (here), to every partition of a Cluster, or — placed stage
-  // by stage — through cluster/topology.h.
+  // One TopologyBuilder describes the whole application — DDL, stored
+  // procedures, and workflow wiring. The built Topology applies unchanged
+  // to a single store (here), to every partition of a Cluster, or — placed
+  // stage by stage — across partitions.
   Schema reading({{"sensor", ValueType::kBigInt}, {"value", ValueType::kBigInt}});
   Schema totals({{"sensor", ValueType::kBigInt}, {"sum", ValueType::kBigInt}});
 
-  DeploymentPlan plan;
+  TopologyBuilder app("quickstart");
   // --- DDL: one public table, one stream. ---
-  plan.DefineStream("readings", reading)
+  app.DefineStream("readings", reading)
       .CreateTable("totals", totals)
       .CreateIndex("totals", "pk", {"sensor"}, /*unique=*/true)
       // --- Border SP: ingest one reading per atomic batch. ---
@@ -99,10 +98,15 @@ int main() {
   n2.input_streams = {"readings"};
   (void)wf.AddNode(n1);
   (void)wf.AddNode(n2);
-  plan.DeployWorkflow(std::move(wf));
+  app.AddWorkflow(wf);
 
+  Result<Topology> topology = app.Build();
+  if (!topology.ok()) {
+    std::fprintf(stderr, "%s\n", topology.status().ToString().c_str());
+    return 1;
+  }
   SStore store;
-  if (!plan.ApplyTo(store).ok()) return 1;
+  if (!topology->ApplyTo(store, 0).ok()) return 1;
 
   // --- Run: push readings, interleave OLTP lookups. ---
   store.Start();

@@ -177,20 +177,6 @@ std::unique_ptr<SStore> Cluster::MakeStore(size_t p, bool attach_log) const {
   return std::make_unique<SStore>(store_opts);
 }
 
-Status Cluster::Deploy(const DeploymentPlan& plan) {
-  for (size_t p = 0; p < stores_.size(); ++p) {
-    Status s = plan.ApplyTo(*stores_[p]);
-    if (!s.ok()) {
-      return Status(s.code(),
-                    "partition " + std::to_string(p) + ": " + s.message());
-    }
-  }
-  // Retained so a partition added by Rebalance (or re-created by Recover
-  // after a split) receives the identical application.
-  deployed_plan_ = plan;
-  return Status::OK();
-}
-
 Status Cluster::Deploy(const Topology& topology) {
   for (const WorkflowNode& node : topology.workflow().nodes()) {
     Result<Placement> placement = topology.placement_of(node.proc);
@@ -712,12 +698,10 @@ Status Cluster::Rebalance(const RebalancePlan& plan,
         return Status::InvalidArgument("cluster is at its partition ceiling");
       }
       new_store = MakeStore(target, /*attach_log=*/true);
-      Status deployed = Status::OK();
-      if (deployed_topology_.has_value()) {
-        deployed = deployed_topology_->ApplyTo(*new_store, target);
-      } else if (deployed_plan_.has_value()) {
-        deployed = deployed_plan_->ApplyTo(*new_store);
-      }
+      Status deployed =
+          deployed_topology_.has_value()
+              ? deployed_topology_->ApplyTo(*new_store, target)
+              : Status::OK();
       if (!deployed.ok()) {
         return Status(deployed.code(), "deploying split target partition " +
                                            std::to_string(target) + ": " +
@@ -900,16 +884,13 @@ Status Cluster::Recover(const std::string& dir, const std::string& log_dir) {
           "checkpoint grew to " + std::to_string(manifest_partitions) +
           " partitions but records no partition map");
     }
-    if (!deployed_topology_.has_value() && !deployed_plan_.has_value()) {
+    if (!deployed_topology_.has_value()) {
       return Status::InvalidArgument(
           "recovering a grown cluster needs Deploy() before Recover()");
     }
     for (size_t p = stores_.size(); p < manifest_partitions; ++p) {
       std::unique_ptr<SStore> store = MakeStore(p, /*attach_log=*/false);
-      Status deployed =
-          deployed_topology_.has_value()
-              ? deployed_topology_->ApplyTo(*store, p)
-              : deployed_plan_->ApplyTo(*store);
+      Status deployed = deployed_topology_->ApplyTo(*store, p);
       if (!deployed.ok()) {
         return Status(deployed.code(), "deploying recovered partition " +
                                            std::to_string(p) + ": " +

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "cluster/checkpointer.h"
-#include "cluster/deployment.h"
 #include "cluster/partition_map.h"
 #include "cluster/topology.h"
 #include "common/status.h"
@@ -130,8 +129,10 @@ struct ClusterStats {
 /// Typical use:
 ///
 ///   Cluster cluster(Cluster::Options{4});
-///   DeploymentPlan plan = BuildMyAppDeployment();
-///   cluster.Deploy(plan);            // identical DDL/SPs on every partition
+///   TopologyBuilder app("my_app");   // DDL, procedures, stages
+///   ...
+///   SSTORE_ASSIGN_OR_RETURN(Topology topology, app.Build());
+///   cluster.Deploy(topology);        // each partition gets its slice
 ///   cluster.Start();
 ///   ClusterInjector injector(&cluster, "ingest", {.key_column = 0});
 ///   injector.InjectAsync(tuple);     // routed by tuple[0]
@@ -219,24 +220,19 @@ class Cluster {
   const SStore& store(size_t p) const { return *stores_[p]; }
   Partition& partition(size_t p) { return stores_[p]->partition(); }
 
-  /// Applies one deployment plan to every partition, in partition order.
-  /// Fails fast on the first partition that rejects a step; partitions are
-  /// either all deployed or the cluster should be discarded (deployment is
-  /// not transactional across partitions). This is the kEverywhere special
-  /// case of the topology deploy below: every partition runs the whole
-  /// application.
-  Status Deploy(const DeploymentPlan& plan);
-
-  /// Applies a *placed* topology: each partition receives its slice (shared
-  /// DDL, the stage procedures and PE triggers whose placement runs there,
-  /// channel plumbing where a boundary touches it), and one StreamChannel
-  /// per placement-boundary stream is installed to transport batches from
-  /// producer partitions to the consumer stage's partition. Same
-  /// fail-fast/discard semantics as the plan overload.
+  /// Applies a topology, in partition order: each partition receives its
+  /// slice (shared DDL, the stage procedures and PE triggers whose
+  /// placement runs there, channel plumbing where a boundary touches it),
+  /// and one StreamChannel per placement-boundary stream is installed to
+  /// transport batches from producer partitions to the consumer stage's
+  /// partition. An all-kEverywhere topology puts the whole application on
+  /// every partition. Fails fast on the first partition that rejects a
+  /// step; partitions are either all deployed or the cluster should be
+  /// discarded (deployment is not transactional across partitions).
   Status Deploy(const Topology& topology);
 
   /// The live cross-partition stream transports of the deployed topology
-  /// (empty for plan deploys and channel-free topologies).
+  /// (empty for channel-free topologies).
   const std::vector<std::unique_ptr<StreamChannel>>& channels() const {
     return channels_;
   }
@@ -560,7 +556,6 @@ class Cluster {
   std::vector<std::unique_ptr<SStore>> stores_;
   /// What Deploy() applied — retained so Rebalance and Recover can stamp
   /// the identical slice onto partitions added later.
-  std::optional<DeploymentPlan> deployed_plan_;
   std::optional<Topology> deployed_topology_;
   /// Declared after stores_ so participant closures (which reference the
   /// coordinator) are drained by Stop() while it is still alive.

@@ -1,6 +1,8 @@
 #include "cluster/topology.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <utility>
 
@@ -40,7 +42,14 @@ Status Topology::ApplyTo(SStore& store, size_t p) const {
   // Shared slice: DDL, seed rows, streams, windows, fragments are identical
   // on every partition (recovery re-creates partitions from the same slice,
   // so the slice must be a pure function of the partition id).
-  SSTORE_RETURN_NOT_OK(plan_.ApplyTo(store));
+  const std::vector<DdlStep>& ddl = *ddl_;
+  for (size_t i = 0; i < ddl.size(); ++i) {
+    Status s = ddl[i].apply(store);
+    if (!s.ok()) {
+      return Status(s.code(), "deployment step " + std::to_string(i) + " (" +
+                                  ddl[i].description + "): " + s.message());
+    }
+  }
 
   // Procedures: stage procedures only where their placement runs; OLTP and
   // helper procedures everywhere.
@@ -91,7 +100,12 @@ Status Topology::ApplyTo(SStore& store, size_t p) const {
 }
 
 std::string Topology::Describe() const {
-  std::string out = plan_.Describe();
+  std::string out;
+  const std::vector<DdlStep>& ddl = *ddl_;
+  for (size_t i = 0; i < ddl.size(); ++i) {
+    out += std::to_string(i) + ": " + ddl[i].kind + " " + ddl[i].description +
+           "\n";
+  }
   for (const ProcedureSpec& spec : procedures_) {
     out += std::string(spec.is_stage ? "stage-procedure " : "procedure ") +
            spec.name + " (" + SpKindToString(spec.kind) + ")\n";
@@ -134,50 +148,78 @@ TopologyBuilder::TopologyBuilder(std::string name) : name_(std::move(name)) {
   topology_.workflow_ = Workflow(name_);
 }
 
-TopologyBuilder& TopologyBuilder::CreateTable(std::string name, Schema schema) {
-  topology_.plan_.CreateTable(std::move(name), std::move(schema));
+TopologyBuilder& TopologyBuilder::AddDdl(const char* kind,
+                                         std::string description,
+                                         std::function<Status(SStore&)> apply) {
+  ddl_.push_back(
+      Topology::DdlStep{kind, std::move(description), std::move(apply)});
   return *this;
+}
+
+TopologyBuilder& TopologyBuilder::CreateTable(std::string name, Schema schema) {
+  std::string desc = "table " + name;
+  return AddDdl("CreateTable", std::move(desc),
+                [name = std::move(name), schema = std::move(schema)](
+                    SStore& store) -> Status {
+                  return store.catalog().CreateTable(name, schema).status();
+                });
 }
 
 TopologyBuilder& TopologyBuilder::CreateIndex(std::string table,
                                               std::string index,
                                               std::vector<std::string> columns,
                                               bool unique) {
-  topology_.plan_.CreateIndex(std::move(table), std::move(index),
-                              std::move(columns), unique);
-  return *this;
+  std::string desc = "index " + table + "." + index;
+  return AddDdl("CreateIndex", std::move(desc),
+                [table = std::move(table), index = std::move(index),
+                 columns = std::move(columns), unique](SStore& store) -> Status {
+                  SSTORE_ASSIGN_OR_RETURN(Table * t,
+                                          store.catalog().GetTable(table));
+                  return t->CreateIndex(index, columns, unique);
+                });
 }
 
 TopologyBuilder& TopologyBuilder::InsertRow(std::string table, Tuple row) {
-  topology_.plan_.InsertRow(std::move(table), std::move(row));
-  return *this;
+  std::string desc = "seed row in " + table;
+  return AddDdl("InsertRow", std::move(desc),
+                [table = std::move(table), row = std::move(row)](
+                    SStore& store) -> Status {
+                  SSTORE_ASSIGN_OR_RETURN(Table * t,
+                                          store.catalog().GetTable(table));
+                  return t->Insert(row).status();
+                });
 }
 
 TopologyBuilder& TopologyBuilder::DefineStream(std::string name,
                                                Schema schema) {
-  topology_.plan_.DefineStream(std::move(name), std::move(schema));
-  return *this;
+  std::string desc = "stream " + name;
+  return AddDdl("DefineStream", std::move(desc),
+                [name = std::move(name), schema = std::move(schema)](
+                    SStore& store) -> Status {
+                  return store.streams().DefineStream(name, schema);
+                });
 }
 
 TopologyBuilder& TopologyBuilder::DefineWindow(WindowSpec spec) {
-  topology_.plan_.DefineWindow(std::move(spec));
-  return *this;
+  std::string desc = "window " + spec.name;
+  return AddDdl("DefineWindow", std::move(desc),
+                [spec = std::move(spec)](SStore& store) -> Status {
+                  return store.windows().DefineWindow(spec);
+                });
 }
 
 TopologyBuilder& TopologyBuilder::RegisterFragment(std::string name,
                                                    FragmentFn fn) {
-  topology_.plan_.RegisterFragment(std::move(name), std::move(fn));
-  return *this;
-}
-
-TopologyBuilder& TopologyBuilder::Custom(std::string description,
-                                         std::function<Status(SStore&)> fn) {
-  topology_.plan_.Custom(std::move(description), std::move(fn));
-  return *this;
+  std::string desc = "fragment " + name;
+  return AddDdl("RegisterFragment", std::move(desc),
+                [name = std::move(name), fn = std::move(fn)](
+                    SStore& store) -> Status {
+                  return store.ee().RegisterFragment(name, fn);
+                });
 }
 
 TopologyBuilder& TopologyBuilder::RegisterProcedure(
-    std::string name, SpKind kind, DeploymentPlan::ProcedureFactory factory) {
+    std::string name, SpKind kind, ProcedureFactory factory) {
   Topology::ProcedureSpec spec;
   spec.name = std::move(name);
   spec.kind = kind;
@@ -224,6 +266,7 @@ TopologyBuilder& TopologyBuilder::Place(const std::string& proc,
 Result<Topology> TopologyBuilder::Build() const {
   SSTORE_RETURN_NOT_OK(deferred_error_);
   Topology out = topology_;
+  out.ddl_ = std::make_shared<const std::vector<Topology::DdlStep>>(ddl_);
   out.workflow_ = Workflow(name_);
   for (const auto& [node, placement] : stages_) {
     SSTORE_RETURN_NOT_OK(out.workflow_.AddNode(node));
@@ -234,7 +277,7 @@ Result<Topology> TopologyBuilder::Build() const {
     }
     out.placements_[node.proc] = placement;
   }
-  SSTORE_RETURN_NOT_OK(out.workflow_.Validate());
+  if (!stages_.empty()) SSTORE_RETURN_NOT_OK(out.workflow_.Validate());
 
   // Mark which registered procedures are stages (they deploy per placement).
   for (Topology::ProcedureSpec& spec : out.procedures_) {
@@ -377,6 +420,16 @@ Result<Topology> TopologyBuilder::Build() const {
     }
   }
   return out;
+}
+
+Topology TopologyBuilder::BuildOrDie() const {
+  Result<Topology> built = Build();
+  if (!built.ok()) {
+    std::fprintf(stderr, "fatal: topology '%s': %s\n", name_.c_str(),
+                 built.status().message().c_str());
+    std::abort();
+  }
+  return std::move(*built);
 }
 
 }  // namespace sstore

@@ -1,17 +1,30 @@
 #ifndef SSTORE_CLUSTER_TOPOLOGY_H_
 #define SSTORE_CLUSTER_TOPOLOGY_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "cluster/deployment.h"
 #include "common/status.h"
+#include "common/value.h"
+#include "engine/execution_engine.h"
+#include "engine/procedure.h"
+#include "storage/schema.h"
 #include "streaming/sstore.h"
+#include "streaming/window.h"
 #include "streaming/workflow.h"
 
 namespace sstore {
+
+/// Builds one partition's instance of a stored procedure. Called once per
+/// partition at apply time: procedure bodies frequently capture their
+/// partition's StreamManager or tables, and a per-store factory lets each
+/// partition bind its own instance instead of sharing state across
+/// partitions.
+using ProcedureFactory =
+    std::function<std::shared_ptr<StoredProcedure>(SStore&)>;
 
 /// Where a workflow stage runs in a cluster (paper §4.7, the distributed
 /// S-Store direction): replicated on every partition, pinned to one, or
@@ -71,60 +84,78 @@ struct ChannelSpec {
   bool ProducerRunsOn(size_t p) const;
 };
 
-/// A placed application: a workflow DAG plus a Placement for every node,
-/// the DDL/fragments/OLTP procedures around it, and the channels derived
-/// from placement boundaries. `Cluster::Deploy(topology)` applies each
-/// partition's *slice* — shared DDL everywhere, stage procedures and PE
-/// triggers only where the stage runs, channel plumbing on the partitions a
-/// boundary touches — where the legacy `Cluster::Deploy(plan)` stamps the
-/// identical application onto every partition (the all-kEverywhere special
-/// case).
+/// A deployable application: the DDL/fragments/procedures it needs, a
+/// workflow DAG with a Placement for every node, and the channels derived
+/// from placement boundaries. It is the one input to `Cluster::Deploy`,
+/// which applies each partition's *slice* — shared DDL everywhere, stage
+/// procedures and PE triggers only where the stage runs, channel plumbing
+/// on the partitions a boundary touches. The replicated deployment of the
+/// paper (§4.7: the whole dataflow on every partition) is the case where
+/// every stage is kEverywhere; a topology with no stages at all is a pure
+/// OLTP application.
+///
+/// The slice is a pure function of the partition id, so every replica of
+/// the application is provably identical — the property recovery relies on
+/// when it re-creates a partition before log replay, and rebalancing relies
+/// on when it stamps the application onto a partition spun up at runtime.
 class Topology {
  public:
   const std::string& name() const { return workflow_.name(); }
   const Workflow& workflow() const { return workflow_; }
-  /// The non-procedure, non-workflow steps (DDL, seed rows, fragments),
-  /// applied identically to every partition.
-  const DeploymentPlan& plan() const { return plan_; }
   const std::vector<ChannelSpec>& channels() const { return channels_; }
 
   Result<Placement> placement_of(const std::string& proc) const;
 
   /// Applies partition `p`'s slice of this topology to a freshly
-  /// constructed store: every plan step, the procedures whose stage (or
-  /// OLTP registration) runs on `p`, channel consumer support (cursor table
-  /// + delivery procedure), and the workflow slice's PE triggers. The slice
-  /// is a pure function of `p`, so Cluster::Rebalance can apply it to a
-  /// partition spun up long after the original deploy.
+  /// constructed store, in this order: every DDL step (in the order it was
+  /// added; the first failure aborts, its error naming the step), the
+  /// procedures whose stage (or OLTP registration) runs on `p`, channel
+  /// consumer support (cursor table + delivery procedure), and the
+  /// workflow slice's PE triggers. Applying twice to one store fails
+  /// (kAlreadyExists from the first DDL step): one topology, one blank
+  /// partition. Cluster::Rebalance applies the same slice to a partition
+  /// spun up long after the original deploy; a single standalone store is
+  /// partition 0.
   Status ApplyTo(SStore& store, size_t p) const;
 
-  /// One line per plan step, procedure, stage (with placement annotation),
-  /// and channel — the placed counterpart of DeploymentPlan::Describe, for
-  /// logs and deployment diffing.
+  /// One line per DDL step ("<i>: <Kind> <description>"), procedure, stage
+  /// (with placement annotation), and channel — for logs and deployment
+  /// diffing.
   std::string Describe() const;
 
  private:
   friend class TopologyBuilder;
+  Topology() = default;  // built only by TopologyBuilder::Build
+
+  /// One shared step (table, index, seed row, stream, window, fragment),
+  /// applied identically on every partition.
+  struct DdlStep {
+    const char* kind;         // "CreateTable", "InsertRow", ...
+    std::string description;  // "table lr_vehicles", "seed row in lr_meta"
+    std::function<Status(SStore&)> apply;
+  };
 
   struct ProcedureSpec {
     std::string name;
     SpKind kind;
-    DeploymentPlan::ProcedureFactory factory;
+    ProcedureFactory factory;
     bool is_stage = false;  // stages deploy per placement; the rest everywhere
   };
 
   Workflow workflow_{""};
-  DeploymentPlan plan_;
+  /// Shared and immutable once built, so copying a topology (Cluster::Deploy
+  /// retains one) does not copy every step's closure.
+  std::shared_ptr<const std::vector<DdlStep>> ddl_;
   std::vector<ProcedureSpec> procedures_;
   std::map<std::string, Placement> placements_;
   std::vector<ChannelSpec> channels_;
 };
 
-/// Fluent builder for a Topology. Subsumes the DeploymentPlan builder: the
-/// DDL steps chain exactly as there, `RegisterProcedure` declares OLTP/
-/// helper procedures (deployed everywhere), and `AddStage` declares a
-/// workflow node together with where it runs. `Build()` validates the DAG
-/// and every placement, and derives the channels.
+/// Fluent builder for a Topology. The DDL steps record shared setup,
+/// `RegisterProcedure` declares OLTP/helper procedures (deployed
+/// everywhere), and `AddStage` declares a workflow node together with where
+/// it runs. `Build()` validates the DAG and every placement, and derives
+/// the channels.
 ///
 ///   TopologyBuilder topo("pipeline");
 ///   topo.DefineStream("sA", schema).DefineStream("sB", schema)
@@ -139,22 +170,23 @@ class TopologyBuilder {
  public:
   explicit TopologyBuilder(std::string name);
 
-  // ---- DeploymentPlan-compatible steps (applied on every partition) ----
+  // ---- Shared DDL steps (applied in order on every partition) ----
 
   TopologyBuilder& CreateTable(std::string name, Schema schema);
+  /// Unique/non-unique hash index on an existing table.
   TopologyBuilder& CreateIndex(std::string table, std::string index,
                                std::vector<std::string> columns, bool unique);
+  /// Seed row inserted at deployment time (e.g. metadata singletons).
   TopologyBuilder& InsertRow(std::string table, Tuple row);
   TopologyBuilder& DefineStream(std::string name, Schema schema);
   TopologyBuilder& DefineWindow(WindowSpec spec);
   TopologyBuilder& RegisterFragment(std::string name, FragmentFn fn);
-  TopologyBuilder& Custom(std::string description,
-                          std::function<Status(SStore&)> fn);
 
   /// Registers a procedure. Stage procedures (named by a later AddStage)
   /// are deployed only where their placement runs; others deploy everywhere.
   TopologyBuilder& RegisterProcedure(std::string name, SpKind kind,
-                                     DeploymentPlan::ProcedureFactory factory);
+                                     ProcedureFactory factory);
+  /// Convenience for stateless procedures safe to share across partitions.
   TopologyBuilder& RegisterProcedure(std::string name, SpKind kind,
                                      std::shared_ptr<StoredProcedure> proc);
 
@@ -164,9 +196,9 @@ class TopologyBuilder {
   TopologyBuilder& AddStage(WorkflowNode node,
                             Placement placement = Placement::Everywhere());
 
-  /// Adopts every node of an existing workflow at kEverywhere — the legacy
-  /// replicated deployment, re-expressed as a topology. Combine with
-  /// Place() to pin individual stages afterwards.
+  /// Adopts every node of an existing workflow at kEverywhere — the
+  /// replicated deployment. Combine with Place() to pin individual stages
+  /// afterwards.
   TopologyBuilder& AddWorkflow(const Workflow& workflow);
 
   /// Overrides the placement of an already-added stage.
@@ -174,12 +206,21 @@ class TopologyBuilder {
 
   /// Validates (DAG structure, placements, channel constraints) and derives
   /// the channels. Build errors are deferred here so the fluent chain stays
-  /// unconditional, like DeploymentPlan's.
+  /// unconditional. A builder with no stages builds an OLTP-only topology.
   Result<Topology> Build() const;
 
+  /// Build, but a failure aborts the process with the error on stderr. For
+  /// workloads whose chains are fixed, where a Build error is a programming
+  /// error that must fail loudly, never deploy half an application.
+  Topology BuildOrDie() const;
+
  private:
+  TopologyBuilder& AddDdl(const char* kind, std::string description,
+                          std::function<Status(SStore&)> apply);
+
   std::string name_;
   Topology topology_;
+  std::vector<Topology::DdlStep> ddl_;
   std::vector<std::pair<WorkflowNode, Placement>> stages_;
   Status deferred_error_;  // first AddStage/Place error, reported by Build
 };

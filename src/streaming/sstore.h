@@ -21,18 +21,17 @@ namespace sstore {
 /// owns N of these, and docs/ARCHITECTURE.md tours the layers.
 ///
 /// Typical use — describe the application once with TopologyBuilder
-/// (cluster/topology.h; it subsumes the DeploymentPlan builder and adds
-/// per-stage placements, and the same description scales out through
-/// Cluster::Deploy and follows the cluster through Recover and Rebalance).
-/// For a standalone single partition, the plan builder remains the direct
-/// path:
+/// (cluster/topology.h). The same description scales out through
+/// Cluster::Deploy and follows the cluster through Recover and Rebalance;
+/// a standalone store is partition 0 of it:
 ///
-///   DeploymentPlan plan;
-///   plan.DefineStream("s1", schema)
+///   TopologyBuilder app("pipeline");
+///   app.DefineStream("s1", schema)
 ///       .RegisterProcedure("ingest", SpKind::kBorder, proc)
-///       .DeployWorkflow(workflow);   // every stage local — the
-///   SStore store;                    // all-kEverywhere special case of a
-///   plan.ApplyTo(store);             // placed Topology
+///       .AddWorkflow(workflow);      // every stage local (kEverywhere)
+///   SSTORE_ASSIGN_OR_RETURN(Topology topology, app.Build());
+///   SStore store;
+///   topology.ApplyTo(store, 0);
 ///   store.Start();
 ///   StreamInjector injector(&store.partition(), "ingest");
 ///   injector.InjectSync(tuple);

@@ -65,10 +65,8 @@ std::vector<PositionReport> LinearRoadGenerator::NextSecond() {
 
 namespace {
 
-/// The DDL shared by the replicated plan and the placed topology; both
-/// builders expose the same fluent steps.
-template <typename Builder>
-Builder& AddLinearRoadDdl(Builder& b) {
+/// The DDL shared by the replicated and the placed topology.
+void AddLinearRoadDdl(TopologyBuilder& b) {
   b.CreateTable("lr_vehicles", VehicleSchema())
       .CreateIndex("lr_vehicles", "pk", {"vid"}, /*unique=*/true)
       .CreateTable("lr_segstats", Schema({{"xway", ValueType::kBigInt},
@@ -96,7 +94,6 @@ Builder& AddLinearRoadDdl(Builder& b) {
                             {"seg", ValueType::kBigInt},
                             {"toll", ValueType::kDouble},
                             {"accident_ahead", ValueType::kBigInt}}));
-  return b;
 }
 
 /// The two workflow nodes; placement is the deployment's choice.
@@ -249,8 +246,8 @@ std::shared_ptr<StoredProcedure> MakePositionReportProc(
 // where every ingest partition's channel lane delivers its own marker for
 // the same minute), already-rolled-up minutes commit as no-ops against the
 // rollup partition's lr_rollup_meta row.
-DeploymentPlan::ProcedureFactory MakeMinuteRollupFactory(
-    const LinearRoadConfig& config, bool dedupe_minutes) {
+ProcedureFactory MakeMinuteRollupFactory(const LinearRoadConfig& config,
+                                         bool dedupe_minutes) {
   return [config, dedupe_minutes](
              SStore& store) -> std::shared_ptr<StoredProcedure> {
         SStore* bound = &store;
@@ -325,23 +322,18 @@ DeploymentPlan::ProcedureFactory MakeMinuteRollupFactory(
 
 }  // namespace
 
-DeploymentPlan BuildLinearRoadDeployment(const LinearRoadConfig& config) {
-  DeploymentPlan plan;
-  AddLinearRoadDdl(plan);
-  plan.RegisterProcedure("position_report", SpKind::kBorder,
-                         MakePositionReportProc(config));
-  plan.RegisterProcedure("minute_rollup", SpKind::kInterior,
+Topology BuildLinearRoadDeployment(const LinearRoadConfig& config) {
+  TopologyBuilder topo("linear_road");
+  AddLinearRoadDdl(topo);
+  topo.RegisterProcedure("position_report", SpKind::kBorder,
+                         MakePositionReportProc(config))
+      .RegisterProcedure("minute_rollup", SpKind::kInterior,
                          MakeMinuteRollupFactory(config,
                                                  /*dedupe_minutes=*/false));
-
-  // ---- Workflow wiring (every stage everywhere — the replicated shape) ----
-  Workflow wf("linear_road");
+  // Every stage everywhere — the replicated shape.
   auto [n1, n2] = LinearRoadNodes();
-  (void)wf.AddNode(n1);
-  (void)wf.AddNode(n2);
-  plan.DeployWorkflow(std::move(wf));
-
-  return plan;
+  topo.AddStage(n1).AddStage(n2);
+  return topo.BuildOrDie();
 }
 
 Result<Topology> BuildPlacedLinearRoadTopology(const LinearRoadConfig& config,
@@ -366,7 +358,8 @@ Result<Topology> BuildPlacedLinearRoadTopology(const LinearRoadConfig& config,
 }
 
 Status LinearRoadApp::Setup() {
-  SSTORE_RETURN_NOT_OK(BuildLinearRoadDeployment(config_).ApplyTo(*store_));
+  SSTORE_RETURN_NOT_OK(
+      BuildLinearRoadDeployment(config_).ApplyTo(*store_, /*p=*/0));
   injector_ = std::make_unique<StreamInjector>(&store_->partition(),
                                                "position_report");
   return Status::OK();

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "cluster/deployment.h"
 #include "cluster/topology.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -89,12 +88,13 @@ class LinearRoadGenerator {
 /// Tolls/accident notifications are emitted to the terminal stream
 /// "s_notifications", drained by the client.
 ///
-/// The complete deployment — tables, streams, both SPs, and the workflow —
-/// as a replayable plan. `Cluster::Deploy` applies it identically to every
-/// shared-nothing partition (paper §4.7: the stream is partitioned by x-way
-/// and each partition runs the whole workflow for its x-ways);
-/// `LinearRoadApp` applies it to its single store.
-DeploymentPlan BuildLinearRoadDeployment(const LinearRoadConfig& config);
+/// The complete deployment — tables, streams, both SPs, and the workflow
+/// with every stage kEverywhere (the replicated shape). `Cluster::Deploy`
+/// applies it identically to every shared-nothing partition (paper §4.7:
+/// the stream is partitioned by x-way and each partition runs the whole
+/// workflow for its x-ways); `LinearRoadApp` applies it to its single
+/// store. The chain is fixed, so a Build error aborts the process.
+Topology BuildLinearRoadDeployment(const LinearRoadConfig& config);
 
 /// The *placed* Linear Road variant (paper §4.7's distributed direction):
 /// the ingest stage `position_report` stays on the border partitions —

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "cluster/deployment.h"
+#include "cluster/topology.h"
 #include "common/status.h"
 
 namespace sstore {
@@ -31,15 +31,22 @@ struct VoterClusterConfig {
   int64_t initial_votes = 1000;
 };
 
-/// Builds the identical-per-partition deployment: table `vc_contestants`
-/// (contestant_id, vote_count) with a unique pk index and seeded rows,
-/// singleton `vc_stats` (total_votes), and two OLTP procedures:
+/// The identical-per-partition OLTP application (no workflow stages):
+/// table `vc_contestants` (contestant_id, vote_count) with a unique pk index
+/// and seeded rows, singleton `vc_stats` (total_votes), and two OLTP
+/// procedures:
 /// - `vc_vote`   (contestant_id): vote_count += 1, total_votes += 1;
 ///   aborts on an unknown contestant.
 /// - `vc_adjust` (contestant_id, delta): vote_count += delta; aborts on an
 ///   unknown contestant or a balance that would go negative — the abort the
 ///   coordinator tests inject to prove all-or-nothing.
-DeploymentPlan BuildVoterClusterDeployment(const VoterClusterConfig& config);
+/// The builder is exposed so callers can add their own tables and
+/// procedures before building.
+TopologyBuilder VoterClusterBuilder(const VoterClusterConfig& config);
+
+/// VoterClusterBuilder(config), built. The chain is fixed, so a Build error
+/// is a programming error and aborts the process.
+Topology BuildVoterClusterDeployment(const VoterClusterConfig& config);
 
 /// Client-side driver binding the workload to a Cluster.
 class VoterClusterApp {

@@ -27,10 +27,10 @@
 namespace sstore {
 namespace chaos {
 
-DeploymentPlan ChaosVoterDeployment(const VoterClusterConfig& config) {
-  DeploymentPlan plan = BuildVoterClusterDeployment(config);
+Topology ChaosVoterDeployment(const VoterClusterConfig& config) {
+  TopologyBuilder builder = VoterClusterBuilder(config);
   Schema kv({{"key", ValueType::kBigInt}, {"val", ValueType::kBigInt}});
-  plan.CreateTable("chaos_kv", kv).RegisterProcedure(
+  builder.CreateTable("chaos_kv", kv).RegisterProcedure(
       "chaos_put", SpKind::kBorder,
       std::make_shared<LambdaProcedure>([](ProcContext& ctx) -> Status {
         SSTORE_ASSIGN_OR_RETURN(Table * t, ctx.table("chaos_kv"));
@@ -38,7 +38,7 @@ DeploymentPlan ChaosVoterDeployment(const VoterClusterConfig& config) {
         (void)rid;
         return Status::OK();
       }));
-  return plan;
+  return builder.BuildOrDie();
 }
 
 namespace {

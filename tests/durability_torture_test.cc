@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "cluster/deployment.h"
+#include "cluster/topology.h"
 #include "cluster/topology.h"
 #include "common/failpoint.h"
 #include "log/command_log.h"
@@ -503,9 +503,9 @@ TEST_F(FailpointGuard, CrashAfterManifestCommitBeforeRotation) {
 
 // ---- Delta snapshots ----
 
-DeploymentPlan HotColdPlan() {
-  DeploymentPlan plan;
-  plan.CreateTable("hot", KeyValSchema())
+Topology HotColdTopology() {
+  TopologyBuilder topo("hot_cold");
+  topo.CreateTable("hot", KeyValSchema())
       .CreateTable("cold", KeyValSchema())
       .RegisterProcedure(
           "bump", SpKind::kBorder,
@@ -516,8 +516,8 @@ DeploymentPlan HotColdPlan() {
             (void)rid;
             return Status::OK();
           }));
-  for (int i = 0; i < 4; ++i) plan.InsertRow("cold", KeyVal(i, i * 10));
-  return plan;
+  for (int i = 0; i < 4; ++i) topo.InsertRow("cold", KeyVal(i, i * 10));
+  return topo.BuildOrDie();
 }
 
 TEST_F(FailpointGuard, DeltaSnapshotSkipsUnchangedTablesAndRecovers) {
@@ -525,7 +525,7 @@ TEST_F(FailpointGuard, DeltaSnapshotSkipsUnchangedTablesAndRecovers) {
   Cluster::Options opts;
   opts.num_partitions = 1;
   Cluster cluster(opts);
-  ASSERT_TRUE(cluster.Deploy(HotColdPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(HotColdTopology()).ok());
   cluster.Start();
 
   // First checkpoint of this directory: everything is written full.
@@ -555,7 +555,7 @@ TEST_F(FailpointGuard, DeltaSnapshotSkipsUnchangedTablesAndRecovers) {
 
   // Recovery resolves the reference chain back to the base epoch's bytes.
   Cluster recovered(opts);
-  ASSERT_TRUE(recovered.Deploy(HotColdPlan()).ok());
+  ASSERT_TRUE(recovered.Deploy(HotColdTopology()).ok());
   Status st = recovered.Recover(dir, "");
   ASSERT_TRUE(st.ok()) << st.ToString();
   std::vector<Tuple> cold = TableRows(recovered.store(0), "cold");
@@ -568,7 +568,7 @@ TEST_F(FailpointGuard, DeltaSnapshotSkipsUnchangedTablesAndRecovers) {
   // A delta snapshot is not self-contained: restoring it without a base
   // resolver must refuse rather than silently produce empty tables.
   SStore ref_store;
-  ASSERT_TRUE(HotColdPlan().ApplyTo(ref_store).ok());
+  ASSERT_TRUE(HotColdTopology().ApplyTo(ref_store, 0).ok());
   Status bare = SnapshotManager::RestoreSnapshot(
       dir + "/ckpt-3-partition-0.snap", &ref_store.catalog());
   EXPECT_FALSE(bare.ok());
@@ -968,7 +968,7 @@ TEST_F(FailpointGuard, CheckpointerDefersWithBackoffWhileCoordinatorBusy) {
 
 TEST_F(FailpointGuard, StartCheckpointerValidatesOptions) {
   Cluster cluster(1);
-  ASSERT_TRUE(cluster.Deploy(DeploymentPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(TopologyBuilder("empty").BuildOrDie()).ok());
   Checkpointer::Options no_dir;
   no_dir.interval_ms = 10;
   EXPECT_TRUE(cluster.StartCheckpointer(no_dir).code() == StatusCode::kInvalidArgument);

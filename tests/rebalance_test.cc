@@ -66,9 +66,9 @@ Tuple KeyVal(int64_t key, int64_t val) {
 /// Minimal keyed workload: a border SP inserting its (key, val) params into
 /// table "kv". Injected through ClusterInjector with key_column 0, so rows
 /// land on the key's owning partition.
-DeploymentPlan KvPlan() {
-  DeploymentPlan plan;
-  plan.CreateTable("kv", KeyValSchema())
+Topology KvTopology() {
+  TopologyBuilder topo("kv");
+  topo.CreateTable("kv", KeyValSchema())
       .RegisterProcedure(
           "put", SpKind::kBorder,
           std::make_shared<LambdaProcedure>([](ProcContext& ctx) -> Status {
@@ -78,7 +78,7 @@ DeploymentPlan KvPlan() {
             (void)rid;
             return Status::OK();
           }));
-  return plan;
+  return topo.BuildOrDie();
 }
 
 std::vector<std::pair<int64_t, int64_t>> AllRows(Cluster& cluster,
@@ -243,7 +243,7 @@ TEST(RebalanceTest, SplitPreservesEveryCommittedRow) {
 
   // Reference: the same input stream into an unsplit 2-partition cluster.
   Cluster reference(2);
-  ASSERT_TRUE(reference.Deploy(KvPlan()).ok());
+  ASSERT_TRUE(reference.Deploy(KvTopology()).ok());
   reference.Start();
   ClusterInjector ref_injector(&reference, "put");
   for (int r = 0; r < kRoundsBefore + kRoundsAfter; ++r) {
@@ -253,7 +253,7 @@ TEST(RebalanceTest, SplitPreservesEveryCommittedRow) {
   reference.Stop();
 
   Cluster cluster(2);
-  ASSERT_TRUE(cluster.Deploy(KvPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(KvTopology()).ok());
   cluster.Start();
   ClusterInjector injector(&cluster, "put");
   for (int r = 0; r < kRoundsBefore; ++r) inject_round(injector, r);
@@ -294,7 +294,7 @@ TEST(RebalanceTest, SplitUnderConcurrentKeyedLoad) {
   std::string ckpt_dir = MakeDir("split_load_ckpt");
 
   Cluster cluster(2);
-  ASSERT_TRUE(cluster.Deploy(KvPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(KvTopology()).ok());
   cluster.Start();
   ClusterInjector::Options opts;
   opts.key_column = 0;
@@ -334,7 +334,7 @@ TEST(RebalanceTest, SplitUnderConcurrentKeyedLoad) {
 
 TEST(RebalanceTest, BadPlanFailsBeforeTheFlip) {
   Cluster cluster(2);
-  ASSERT_TRUE(cluster.Deploy(KvPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(KvTopology()).ok());
   cluster.Start();
 
   // A typo'd table or an out-of-range key column must be rejected while
@@ -359,7 +359,7 @@ TEST(RebalanceTest, StoppedClusterExecuteSyncStillRunsInline) {
   // seeding pattern Partition::ExecuteSync supports) instead of queueing
   // forever behind a worker that does not exist.
   Cluster cluster(2);
-  ASSERT_TRUE(cluster.Deploy(KvPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(KvTopology()).ok());
   TxnOutcome out = cluster.ExecuteSync("put", KeyVal(7, 70), Value::BigInt(7));
   EXPECT_TRUE(out.committed()) << out.status.ToString();
   EXPECT_EQ(AllRows(cluster, "kv").size(), 1u);
@@ -371,7 +371,7 @@ TEST(RebalanceTest, MergeDrainsAndRetiresThePartition) {
   std::string merge_dir = MakeDir("merge_merge_ckpt");
 
   Cluster cluster(2);
-  ASSERT_TRUE(cluster.Deploy(KvPlan()).ok());
+  ASSERT_TRUE(cluster.Deploy(KvTopology()).ok());
   cluster.Start();
   ClusterInjector injector(&cluster, "put");
   std::vector<Tuple> batch;
@@ -424,7 +424,7 @@ TEST(RebalanceTest, KillAroundCutoverRecoversToExactlyOneSideOfTheManifest) {
     opts.log_dir = log_dir;
     opts.log_sync = false;
     Cluster cluster(opts);
-    ASSERT_TRUE(cluster.Deploy(KvPlan()).ok());
+    ASSERT_TRUE(cluster.Deploy(KvTopology()).ok());
     cluster.Start();
     ClusterInjector injector(&cluster, "put");
     std::vector<Tuple> batch;
@@ -461,7 +461,7 @@ TEST(RebalanceTest, KillAroundCutoverRecoversToExactlyOneSideOfTheManifest) {
     Cluster::Options opts;
     opts.num_partitions = 2;
     Cluster recovered(opts);
-    ASSERT_TRUE(recovered.Deploy(KvPlan()).ok());
+    ASSERT_TRUE(recovered.Deploy(KvTopology()).ok());
     Status st = recovered.Recover(old_ckpt_copy, old_log_copy);
     ASSERT_TRUE(st.ok()) << st.ToString();
     EXPECT_EQ(recovered.num_partitions(), 2u);
@@ -478,7 +478,7 @@ TEST(RebalanceTest, KillAroundCutoverRecoversToExactlyOneSideOfTheManifest) {
     Cluster::Options opts;
     opts.num_partitions = 2;  // the original construction, as the runbook says
     Cluster recovered(opts);
-    ASSERT_TRUE(recovered.Deploy(KvPlan()).ok());
+    ASSERT_TRUE(recovered.Deploy(KvTopology()).ok());
     Status st = recovered.Recover(ckpt_dir, log_dir);
     ASSERT_TRUE(st.ok()) << st.ToString();
     EXPECT_EQ(recovered.num_partitions(), 3u);
@@ -562,7 +562,7 @@ TEST(RebalanceTest, CrashAtEverySiteRecoversToExactlyOneSideOfTheCutover) {
       opts.log_dir = log_dir;
       opts.log_sync = false;
       Cluster cluster(opts);
-      ASSERT_TRUE(cluster.Deploy(KvPlan()).ok());
+      ASSERT_TRUE(cluster.Deploy(KvTopology()).ok());
       cluster.Start();
 
       // Acked first wave: these rows must survive whichever side of the
@@ -598,7 +598,7 @@ TEST(RebalanceTest, CrashAtEverySiteRecoversToExactlyOneSideOfTheCutover) {
     Cluster::Options opts;
     opts.num_partitions = 2;
     Cluster recovered(opts);
-    ASSERT_TRUE(recovered.Deploy(KvPlan()).ok());
+    ASSERT_TRUE(recovered.Deploy(KvTopology()).ok());
     Status st = recovered.Recover(ckpt_dir, log_dir);
     ASSERT_TRUE(st.ok()) << st.ToString();
     if (step.cutover_committed) {

@@ -20,6 +20,7 @@
 #include "query/expr.h"
 #include "streaming/injector.h"
 #include "workloads/linear_road.h"
+#include "workloads/voter_cluster.h"
 
 namespace sstore {
 namespace {
@@ -134,6 +135,91 @@ TEST(TopologyBuilderTest, EverywherePlacementDerivesNoChannels) {
   EXPECT_TRUE(topo->channels().empty());
 }
 
+// ---- Applying the shared slice to standalone stores ----
+
+TEST(TopologyApplyTest, AppliesIdenticallyToFreshStores) {
+  Result<Topology> topo =
+      BuildPipeline(Placement::Everywhere(), Placement::Everywhere(),
+                    Placement::Everywhere());
+  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
+  SStore a, b;
+  ASSERT_TRUE(topo->ApplyTo(a, 0).ok());
+  ASSERT_TRUE(topo->ApplyTo(b, 0).ok());
+  for (SStore* store : {&a, &b}) {
+    EXPECT_TRUE(store->streams().HasStream("sA"));
+    EXPECT_TRUE(store->catalog().HasTable("sink"));
+    for (const char* proc : {"ingest", "middle", "last"}) {
+      EXPECT_TRUE(store->partition().HasProcedure(proc)) << proc;
+    }
+    EXPECT_EQ(store->triggers().ConsumersOf("sA"),
+              std::vector<std::string>{"middle"});
+    EXPECT_EQ(store->triggers().ConsumersOf("sB"),
+              std::vector<std::string>{"last"});
+  }
+}
+
+TEST(TopologyApplyTest, ReapplyToSameStoreFails) {
+  Result<Topology> topo =
+      BuildPipeline(Placement::Everywhere(), Placement::Everywhere(),
+                    Placement::Everywhere());
+  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
+  SStore store;
+  ASSERT_TRUE(topo->ApplyTo(store, 0).ok());
+  EXPECT_EQ(topo->ApplyTo(store, 0).code(), StatusCode::kAlreadyExists);
+}
+
+TEST(TopologyApplyTest, FailingStepReportsItsDescription) {
+  TopologyBuilder builder("bad_index");
+  builder.CreateIndex("no_such_table", "pk", {"x"}, true);
+  Result<Topology> topo = builder.Build();
+  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
+  SStore store;
+  Status s = topo->ApplyTo(store, 0);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("no_such_table"), std::string::npos);
+}
+
+TEST(TopologyApplyTest, NullProcedureFactoryRejected) {
+  TopologyBuilder builder("ghost");
+  builder.RegisterProcedure("ghost", SpKind::kBorder,
+                            [](SStore&) -> std::shared_ptr<StoredProcedure> {
+                              return nullptr;
+                            });
+  Result<Topology> topo = builder.Build();
+  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
+  SStore store;
+  EXPECT_EQ(topo->ApplyTo(store, 0).code(), StatusCode::kInvalidArgument);
+}
+
+/// The workloads build their fixed chains with BuildOrDie; prove the abort
+/// path never fires and the replicated shape deploys with no channels.
+TEST(TopologyApplyTest, WorkloadReplicatedTopologiesBuildAndDeploy) {
+  LinearRoadConfig lr;
+  lr.num_xways = 2;
+  Topology linear_road = BuildLinearRoadDeployment(lr);
+  EXPECT_TRUE(linear_road.channels().empty());
+  Cluster lr_cluster(2);
+  ASSERT_TRUE(lr_cluster.Deploy(linear_road).ok());
+  for (size_t p = 0; p < lr_cluster.num_partitions(); ++p) {
+    EXPECT_TRUE(lr_cluster.store(p).partition().HasProcedure("minute_rollup"));
+    EXPECT_EQ(lr_cluster.store(p).triggers().ConsumersOf(
+                  kLinearRoadMinuteStream),
+              std::vector<std::string>{"minute_rollup"});
+  }
+
+  VoterClusterConfig voter;
+  Topology voter_cluster = BuildVoterClusterDeployment(voter);
+  EXPECT_TRUE(voter_cluster.workflow().nodes().empty());
+  Cluster voter_nodes(2);
+  ASSERT_TRUE(voter_nodes.Deploy(voter_cluster).ok());
+  voter_nodes.Start();
+  VoterClusterApp app(&voter_nodes, voter);
+  EXPECT_TRUE(app.Vote(3).committed());
+  voter_nodes.WaitIdle();
+  voter_nodes.Stop();
+  EXPECT_TRUE(app.CheckInvariant().ok());
+}
+
 TEST(TopologyBuilderTest, PinnedChainDerivesOneChannelPerBoundary) {
   Result<Topology> topo = BuildPipeline(
       Placement::Pinned(0), Placement::Pinned(1), Placement::Pinned(2));
@@ -232,28 +318,6 @@ TEST(TopologyBuilderTest, DeployRejectsPinningOutsideCluster) {
 
 // ---- Describe goldens (deployment diffing relies on this exact shape) ----
 
-TEST(DescribeGoldenTest, DeploymentPlanOneLinePerStep) {
-  DeploymentPlan plan;
-  plan.DefineStream("in", KeyValSchema())
-      .CreateTable("sink", KeyValSchema())
-      .CreateIndex("sink", "pk", {"key"}, /*unique=*/true)
-      .InsertRow("sink", KeyVal(0, 0))
-      .RegisterProcedure("ingest", SpKind::kBorder,
-                         std::make_shared<LambdaProcedure>(
-                             [](ProcContext&) { return Status::OK(); }));
-  Workflow wf("chain");
-  (void)wf.AddNode(Node("ingest", SpKind::kBorder, {}, {"in"}));
-  plan.DeployWorkflow(std::move(wf));
-
-  EXPECT_EQ(plan.Describe(),
-            "0: DefineStream stream in\n"
-            "1: CreateTable table sink\n"
-            "2: CreateIndex index sink.pk\n"
-            "3: InsertRow seed row in sink\n"
-            "4: RegisterProcedure procedure ingest (BORDER)\n"
-            "5: DeployWorkflow workflow chain\n");
-}
-
 TEST(DescribeGoldenTest, TopologyAnnotatesPlacementsAndChannels) {
   TopologyBuilder topo("two_stage");
   topo.DefineStream("sA", KeyValSchema())
@@ -279,6 +343,31 @@ TEST(DescribeGoldenTest, TopologyAnnotatesPlacementsAndChannels) {
             "stage ingest placement=pinned(0) outputs=[sA]\n"
             "stage apply placement=pinned(1) inputs=[sA]\n"
             "channel sA: ingest@pinned(0) -> apply@pinned(1)\n");
+
+  // Every DDL kind keeps its numbered line; OLTP procedures (not stages)
+  // and replicated stages are annotated as such.
+  TopologyBuilder replicated("chain");
+  replicated.DefineStream("in", KeyValSchema())
+      .CreateTable("sink", KeyValSchema())
+      .CreateIndex("sink", "pk", {"key"}, /*unique=*/true)
+      .InsertRow("sink", KeyVal(0, 0))
+      .RegisterProcedure("ingest", SpKind::kBorder,
+                         std::make_shared<LambdaProcedure>(
+                             [](ProcContext&) { return Status::OK(); }))
+      .RegisterProcedure("lookup", SpKind::kOltp,
+                         std::make_shared<LambdaProcedure>(
+                             [](ProcContext&) { return Status::OK(); }))
+      .AddStage(Node("ingest", SpKind::kBorder, {}, {"in"}));
+  Result<Topology> chain = replicated.Build();
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  EXPECT_EQ(chain->Describe(),
+            "0: DefineStream stream in\n"
+            "1: CreateTable table sink\n"
+            "2: CreateIndex index sink.pk\n"
+            "3: InsertRow seed row in sink\n"
+            "stage-procedure ingest (BORDER)\n"
+            "procedure lookup (OLTP)\n"
+            "stage ingest placement=everywhere outputs=[in]\n");
 }
 
 // ---- Sliced deployment ----
