@@ -343,9 +343,11 @@ TEST(DescribeGoldenTest, TopologyAnnotatesPlacementsAndChannels) {
             "stage ingest placement=pinned(0) outputs=[sA]\n"
             "stage apply placement=pinned(1) inputs=[sA]\n"
             "channel sA: ingest@pinned(0) -> apply@pinned(1)\n");
+}
 
-  // Every DDL kind keeps its numbered line; OLTP procedures (not stages)
-  // and replicated stages are annotated as such.
+// A deployment's DDL reads one numbered line per step, whatever its kind;
+// OLTP procedures (not stages) and replicated stages are annotated as such.
+TEST(DescribeGoldenTest, DeploymentPlanOneLinePerStep) {
   TopologyBuilder replicated("chain");
   replicated.DefineStream("in", KeyValSchema())
       .CreateTable("sink", KeyValSchema())
