@@ -1,17 +1,14 @@
 // Multi-partition transaction benchmark (PR 3): single- vs multi-partition
 // throughput through the TxnCoordinator, on the VoterCluster workload
 // (sharded contestants; votes are single-partition OLTP, transfers are
-// atomic cross-partition transactions).
+// atomic cross-partition transactions run by blocking presumed-abort 2PC,
+// one round in flight at a time).
 //
 // Benchmarks:
 //   BM_SinglePartitionVote     — the baseline: keyed ExecuteSync on the
 //                                owner partition, no coordination.
 //   BM_MultiPartitionTransfer  — one synchronous cross-partition transfer
-//                                per iteration; /0 = 2PC, /1 = global-order.
-//   BM_GlobalOrderPipelined    — asynchronous transfers with a window of
-//                                outstanding tickets: the deterministic
-//                                sequencer's pipelining advantage over the
-//                                one-round-at-a-time 2PC mode.
+//                                per iteration.
 //   BM_MixedRatio              — arg% of operations are transfers, the rest
 //                                votes: the shape of a real workload as the
 //                                multi-partition fraction grows (Figure-11
@@ -24,21 +21,16 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "txn_coord/txn_coordinator.h"
 #include "workloads/voter_cluster.h"
 
 namespace {
 
 using sstore::Cluster;
 using sstore::ClusterStats;
-using sstore::CoordinationMode;
-using sstore::CoordinationModeToString;
-using sstore::MultiKeyTicketPtr;
 using sstore::PartitionMap;
 using sstore::VoterClusterApp;
 using sstore::VoterClusterConfig;
@@ -53,17 +45,11 @@ VoterClusterConfig BenchConfig() {
   return config;
 }
 
-Cluster::Options BenchOpts(CoordinationMode mode) {
+Cluster::Options BenchOpts() {
   Cluster::Options opts;
   opts.num_partitions = kPartitions;
   opts.routing = PartitionMap::Mode::kModulo;
-  opts.coordination = mode;
   return opts;
-}
-
-CoordinationMode ModeOf(int64_t arg) {
-  return arg == 0 ? CoordinationMode::kTwoPhase
-                  : CoordinationMode::kGlobalOrder;
 }
 
 void ReportCoordCounters(benchmark::State& state, Cluster& cluster) {
@@ -74,7 +60,7 @@ void ReportCoordCounters(benchmark::State& state, Cluster& cluster) {
 
 void BM_SinglePartitionVote(benchmark::State& state) {
   VoterClusterConfig config = BenchConfig();
-  Cluster cluster(BenchOpts(CoordinationMode::kTwoPhase));
+  Cluster cluster(BenchOpts());
   cluster.Deploy(BuildVoterClusterDeployment(config)).ok();
   cluster.Start();
   VoterClusterApp app(&cluster, config);
@@ -92,7 +78,7 @@ BENCHMARK(BM_SinglePartitionVote);
 
 void BM_MultiPartitionTransfer(benchmark::State& state) {
   VoterClusterConfig config = BenchConfig();
-  Cluster cluster(BenchOpts(ModeOf(state.range(0))));
+  Cluster cluster(BenchOpts());
   cluster.Deploy(BuildVoterClusterDeployment(config)).ok();
   cluster.Start();
   VoterClusterApp app(&cluster, config);
@@ -107,43 +93,15 @@ void BM_MultiPartitionTransfer(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
   ReportCoordCounters(state, cluster);
-  state.SetLabel(CoordinationModeToString(ModeOf(state.range(0))));
   cluster.WaitIdle();
   cluster.Stop();
 }
-BENCHMARK(BM_MultiPartitionTransfer)->Arg(0)->Arg(1);
-
-void BM_GlobalOrderPipelined(benchmark::State& state) {
-  const size_t kWindow = static_cast<size_t>(state.range(0));
-  VoterClusterConfig config = BenchConfig();
-  Cluster cluster(BenchOpts(CoordinationMode::kGlobalOrder));
-  cluster.Deploy(BuildVoterClusterDeployment(config)).ok();
-  cluster.Start();
-  VoterClusterApp app(&cluster, config);
-
-  std::deque<MultiKeyTicketPtr> window;
-  int64_t i = 0;
-  for (auto _ : state) {
-    window.push_back(app.TransferAsync(i % config.num_contestants,
-                                       (i + 1) % config.num_contestants, 1));
-    ++i;
-    if (window.size() >= kWindow) {
-      window.front()->Wait();
-      window.pop_front();
-    }
-  }
-  for (auto& t : window) t->Wait();
-  state.SetItemsProcessed(state.iterations());
-  ReportCoordCounters(state, cluster);
-  cluster.WaitIdle();
-  cluster.Stop();
-}
-BENCHMARK(BM_GlobalOrderPipelined)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_MultiPartitionTransfer);
 
 void BM_MixedRatio(benchmark::State& state) {
   const int64_t mp_percent = state.range(0);
   VoterClusterConfig config = BenchConfig();
-  Cluster cluster(BenchOpts(CoordinationMode::kGlobalOrder));
+  Cluster cluster(BenchOpts());
   cluster.Deploy(BuildVoterClusterDeployment(config)).ok();
   cluster.Start();
   VoterClusterApp app(&cluster, config);

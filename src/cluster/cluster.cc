@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 #include <utility>
@@ -147,7 +148,6 @@ Cluster::Cluster(const Options& options)
   metrics_.AddProvider(
       [this](std::vector<MetricSample>* out) { CollectMetrics(out); });
   TxnCoordinator::Options coord_opts;
-  coord_opts.mode = options_.coordination;
   if (!options_.log_dir.empty()) {
     coord_opts.decision_log_path =
         options_.log_dir + "/" + kDecisionLogName;
@@ -199,7 +199,14 @@ Status Cluster::Deploy(const Topology& topology) {
     channels_.push_back(std::make_unique<StreamChannel>(this, spec));
     channels_.back()->InstallHooks();
   }
-  deployed_topology_ = topology;
+  deployed_topologies_.push_back(topology);
+  return Status::OK();
+}
+
+Status Cluster::ApplyDeployed(SStore& store, size_t p) const {
+  for (const Topology& topology : deployed_topologies_) {
+    SSTORE_RETURN_NOT_OK(topology.ApplyTo(store, p));
+  }
   return Status::OK();
 }
 
@@ -698,10 +705,7 @@ Status Cluster::Rebalance(const RebalancePlan& plan,
         return Status::InvalidArgument("cluster is at its partition ceiling");
       }
       new_store = MakeStore(target, /*attach_log=*/true);
-      Status deployed =
-          deployed_topology_.has_value()
-              ? deployed_topology_->ApplyTo(*new_store, target)
-              : Status::OK();
+      Status deployed = ApplyDeployed(*new_store, target);
       if (!deployed.ok()) {
         return Status(deployed.code(), "deploying split target partition " +
                                            std::to_string(target) + ": " +
@@ -884,13 +888,13 @@ Status Cluster::Recover(const std::string& dir, const std::string& log_dir) {
           "checkpoint grew to " + std::to_string(manifest_partitions) +
           " partitions but records no partition map");
     }
-    if (!deployed_topology_.has_value()) {
+    if (deployed_topologies_.empty()) {
       return Status::InvalidArgument(
           "recovering a grown cluster needs Deploy() before Recover()");
     }
     for (size_t p = stores_.size(); p < manifest_partitions; ++p) {
       std::unique_ptr<SStore> store = MakeStore(p, /*attach_log=*/false);
-      Status deployed = deployed_topology_->ApplyTo(*store, p);
+      Status deployed = ApplyDeployed(*store, p);
       if (!deployed.ok()) {
         return Status(deployed.code(), "deploying recovered partition " +
                                            std::to_string(p) + ": " +
@@ -1136,7 +1140,7 @@ ClusterStats Cluster::GatherStats() const {
   for (size_t p = 0; p < n; ++p) {
     SStore& s = const_cast<SStore&>(*stores_[p]);
     const Partition::Stats ps = s.partition().stats();
-    const EngineStats& es = s.ee().stats();
+    EngineStats es = s.ee().stats();
     const LogStats ls = s.partition().log_stats();
     out.per_partition.push_back(ps);
     out.per_partition_engine.push_back(es);

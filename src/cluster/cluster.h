@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <utility>
@@ -148,10 +147,6 @@ class Cluster {
     RecoveryMode recovery_mode = RecoveryMode::kStrong;
     /// Per-partition request-ring capacity; 0 = Partition default.
     size_t queue_capacity = 0;
-    /// How multi-partition transactions are coordinated (see
-    /// txn_coord/txn_coordinator.h): classic blocking 2PC, or deterministic
-    /// global order for pipelined multi-partition throughput.
-    CoordinationMode coordination = CoordinationMode::kTwoPhase;
 
     // ---- Observability (src/obs/) ----
     //
@@ -229,6 +224,8 @@ class Cluster {
   /// every partition. Fails fast on the first partition that rejects a
   /// step; partitions are either all deployed or the cluster should be
   /// discarded (deployment is not transactional across partitions).
+  /// Deploying more topologies adds them; partitions added later by
+  /// Rebalance or Recover get every deployed topology, in deploy order.
   Status Deploy(const Topology& topology);
 
   /// The live cross-partition stream transports of the deployed topology
@@ -276,8 +273,7 @@ class Cluster {
   // ---- Multi-partition transactions (any thread) ----
 
   /// The coordinator executing multi-key transactions atomically across
-  /// partitions (two-phase commit or deterministic global order, per
-  /// Options::coordination).
+  /// partitions (blocking presumed-abort two-phase commit).
   TxnCoordinator& coordinator() { return *coordinator_; }
 
   /// Submits one atomic transaction whose ops are routed by key: each
@@ -367,7 +363,7 @@ class Cluster {
   /// from `log_dir`, resolving in-doubt multi-partition transactions
   /// against the coordinator's decision log (the rotation epoch's file, per
   /// the manifest). Call on a freshly constructed cluster (the *original*
-  /// partition count, same Deploy()ed plan or topology, *no* log_dir in its
+  /// partition count, same Deploy()ed topologies, *no* log_dir in its
   /// Options — attaching logs would truncate the files being replayed)
   /// before Start(). An empty `log_dir` restores the snapshots only. The
   /// manifest's log epoch selects which rotation's files are replayed.
@@ -503,6 +499,8 @@ class Cluster {
   /// `attach_log` false is for Recover, whose stores must not truncate the
   /// files about to be replayed.
   std::unique_ptr<SStore> MakeStore(size_t p, bool attach_log) const;
+  /// Applies deployed_topologies_, in order, to a partition added later.
+  Status ApplyDeployed(SStore& store, size_t p) const;
   /// Shared Checkpoint/TryCheckpoint body: expects control_mu_ held and the
   /// coordinator quiesced; parks the workers, runs CheckpointAtBarrier,
   /// releases, un-quiesces. Always ends the quiesce.
@@ -554,9 +552,10 @@ class Cluster {
   /// Capacity is reserved to kMaxClusterPartitions at construction, so
   /// runtime growth never reallocates under concurrent partition(p) calls.
   std::vector<std::unique_ptr<SStore>> stores_;
-  /// What Deploy() applied — retained so Rebalance and Recover can stamp
-  /// the identical slice onto partitions added later.
-  std::optional<Topology> deployed_topology_;
+  /// Every topology Deploy() applied, in deploy order — retained so
+  /// Rebalance and Recover can stamp the identical slices onto partitions
+  /// added later.
+  std::vector<Topology> deployed_topologies_;
   /// Declared after stores_ so participant closures (which reference the
   /// coordinator) are drained by Stop() while it is still alive.
   std::unique_ptr<TxnCoordinator> coordinator_;

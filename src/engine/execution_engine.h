@@ -1,6 +1,7 @@
 #ifndef SSTORE_ENGINE_EXECUTION_ENGINE_H_
 #define SSTORE_ENGINE_EXECUTION_ENGINE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -103,8 +104,9 @@ class ExecutionEngine {
                      int64_t batch_id, MutationLog* mlog,
                      bool fire_triggers = true);
 
-  const EngineStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = EngineStats{}; }
+  /// Point-in-time snapshot; any thread may read it while the worker runs.
+  EngineStats stats() const;
+  void ResetStats();
 
  private:
   /// Shared tail of both InsertBatch forms: EE-trigger cascade + auto-GC.
@@ -118,7 +120,18 @@ class ExecutionEngine {
   std::unordered_map<std::string, FragmentFn> fragments_;
   std::unordered_map<std::string, std::vector<std::string>> insert_triggers_;
   std::unordered_map<std::string, bool> auto_gc_;
-  EngineStats stats_;
+  // EngineStats counters. The partition worker is the only writer, so Bump
+  // is a relaxed load + store (no locked read-modify-write); the atomics
+  // only make concurrent stats() readers race-free.
+  static void Bump(std::atomic<uint64_t>& counter, uint64_t n) {
+    counter.store(counter.load(std::memory_order_relaxed) + n,
+                  std::memory_order_relaxed);
+  }
+  std::atomic<uint64_t> boundary_crossings_{0};
+  std::atomic<uint64_t> boundary_bytes_{0};
+  std::atomic<uint64_t> fragments_executed_{0};
+  std::atomic<uint64_t> ee_trigger_firings_{0};
+  std::atomic<uint64_t> gc_deleted_rows_{0};
 };
 
 }  // namespace sstore

@@ -87,6 +87,22 @@ std::optional<std::vector<RowId>> IndexCandidates(const Table& table,
   return rids;
 }
 
+// ForEachMatch's index path: visits each of `rids` (slot order) whose row
+// `predicate` accepts, with the same staged-row and early-stop rules.
+template <typename Fn>
+Status ForEachCandidate(const Table& table, const std::vector<RowId>& rids,
+                        const ExprPtr& predicate, bool include_staged,
+                        Fn&& fn) {
+  for (RowId rid : rids) {
+    SSTORE_ASSIGN_OR_RETURN(const RowMeta* meta, table.GetMeta(rid));
+    if (!include_staged && !meta->active) continue;
+    SSTORE_ASSIGN_OR_RETURN(const Tuple* row, table.Get(rid));
+    SSTORE_ASSIGN_OR_RETURN(bool match, EvalPredicate(predicate, *row));
+    if (match && !fn(rid, *row)) break;
+  }
+  return Status::OK();
+}
+
 // Calls `fn(rid, row)` in slot order for every row `predicate` accepts,
 // skipping staged rows unless `include_staged`; `fn` returns false to stop.
 // Index candidates are re-checked against the full predicate, so both paths
@@ -94,28 +110,21 @@ std::optional<std::vector<RowId>> IndexCandidates(const Table& table,
 template <typename Fn>
 Status ForEachMatch(const Table& table, const ExprPtr& predicate,
                     bool include_staged, Fn&& fn) {
-  Status err = Status::OK();
-  auto visit = [&](RowId rid, const Tuple& row) {
-    Result<bool> match = EvalPredicate(predicate, row);
-    if (!match.ok()) {
-      err = match.status();
-      return false;
-    }
-    return !*match || fn(rid, row);
-  };
   if (std::optional<std::vector<RowId>> rids =
           IndexCandidates(table, predicate)) {
-    for (RowId rid : *rids) {
-      SSTORE_ASSIGN_OR_RETURN(const RowMeta* meta, table.GetMeta(rid));
-      if (!include_staged && !meta->active) continue;
-      SSTORE_ASSIGN_OR_RETURN(const Tuple* row, table.Get(rid));
-      if (!visit(rid, *row)) break;
-    }
-  } else {
-    table.ForEach([&](RowId rid, const Tuple& row,
-                      const RowMeta&) { return visit(rid, row); },
-                  include_staged);
+    return ForEachCandidate(table, *rids, predicate, include_staged, fn);
   }
+  Status err = Status::OK();
+  table.ForEach(
+      [&](RowId rid, const Tuple& row, const RowMeta&) {
+        Result<bool> match = EvalPredicate(predicate, row);
+        if (!match.ok()) {
+          err = match.status();
+          return false;
+        }
+        return !*match || fn(rid, row);
+      },
+      include_staged);
   return err;
 }
 
@@ -164,15 +173,14 @@ Result<std::vector<Tuple>> Executor::IndexScan(
   SSTORE_RETURN_NOT_OK(ValidateProjection(*table, projection));
   SSTORE_ASSIGN_OR_RETURN(std::vector<RowId> rids,
                           table->IndexLookup(index_name, key));
+  std::sort(rids.begin(), rids.end());  // slot order, as Scan returns rows
   std::vector<Tuple> out;
-  for (RowId rid : rids) {
-    SSTORE_ASSIGN_OR_RETURN(const RowMeta* meta, table->GetMeta(rid));
-    if (!meta->active) continue;  // staged rows invisible to queries
-    SSTORE_ASSIGN_OR_RETURN(const Tuple* row, table->Get(rid));
-    SSTORE_ASSIGN_OR_RETURN(bool match, EvalPredicate(residual, *row));
-    if (!match) continue;
-    out.push_back(Project(*row, projection));
-  }
+  SSTORE_RETURN_NOT_OK(ForEachCandidate(
+      *table, rids, residual, /*include_staged=*/false,
+      [&](RowId, const Tuple& row) {
+        out.push_back(Project(row, projection));
+        return true;
+      }));
   return out;
 }
 

@@ -34,7 +34,8 @@ class Executor {
   Result<std::vector<Tuple>> Scan(const ScanSpec& spec) const;
 
   /// Point/equality lookup via a named hash index, with optional residual
-  /// predicate and projection applied to matching rows.
+  /// predicate and projection applied to matching rows. Rows come back in
+  /// slot order, as Scan returns them.
   Result<std::vector<Tuple>> IndexScan(Table* table,
                                        const std::string& index_name,
                                        const Tuple& key,

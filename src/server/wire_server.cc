@@ -428,14 +428,19 @@ class EventLoop {
         size_t count = g.invs.size();
         BatchTicketPtr ticket = cluster_->partition(p).SubmitBatchAsync(
             std::move(g.invs), EnqueuePolicy::kSpillWhenFull);
-        Completion completion{conn, ticket, std::move(g.ids)};
-        // Weak capture: the partition worker may fire this after the
+        // Weak captures: the partition worker may fire this after the
         // connection died and the drained loop was destroyed (see
-        // LoopMailbox) — it must never dereference the EventLoop.
+        // LoopMailbox), and a ticket owning itself through its own hook
+        // would leak when it never completes (parked on a partition that
+        // never starts).
         ticket->SetOnComplete(
             [weak = std::weak_ptr<LoopMailbox>(mailbox_),
-             completion = std::move(completion)]() mutable {
-              PostCompletion(weak, std::move(completion));
+             weak_ticket = std::weak_ptr<BatchTicket>(ticket), conn,
+             ids = std::move(g.ids)]() mutable {
+              BatchTicketPtr done = weak_ticket.lock();
+              if (done == nullptr) return;
+              PostCompletion(weak, Completion{std::move(conn), std::move(done),
+                                              std::move(ids)});
             });
         server_->batches_submitted_.fetch_add(1, std::memory_order_relaxed);
         server_->requests_submitted_.fetch_add(count,

@@ -7,16 +7,6 @@
 
 namespace sstore {
 
-const char* CoordinationModeToString(CoordinationMode mode) {
-  switch (mode) {
-    case CoordinationMode::kTwoPhase:
-      return "2pc";
-    case CoordinationMode::kGlobalOrder:
-      return "global-order";
-  }
-  return "unknown";
-}
-
 // ---- MultiKeyTicket --------------------------------------------------------
 
 void MultiKeyTicket::Wait() {
@@ -111,7 +101,7 @@ class MultiTxnControl {
     return commit_;
   }
 
-  /// The kTwoPhase round lock is held until the decision exists.
+  /// The coordinator's round lock is held until the decision exists.
   void WaitDecided() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return decided_; });
@@ -185,11 +175,7 @@ void TxnCoordinator::CompleteTxn(bool commit, int64_t start_us) {
     round_latency_us_.fetch_add(static_cast<uint64_t>(elapsed),
                                 std::memory_order_relaxed);
   }
-  {
-    std::lock_guard<std::mutex> lock(gate_mu_);
-    --in_flight_;
-  }
-  gate_cv_.notify_all();
+  ReleaseGate();
 }
 
 void TxnCoordinator::ReleaseGate() {
@@ -259,7 +245,6 @@ MultiKeyTicketPtr TxnCoordinator::SubmitMultiRouted(
                                         "stopped; multi-partition execution "
                                         "needs a uniform cluster state"));
   }
-  bool inline_mode = running == 0;
 
   multi_txns_.fetch_add(1, std::memory_order_relaxed);
   int64_t start_us = clock_.NowMicros();
@@ -269,56 +254,45 @@ MultiKeyTicketPtr TxnCoordinator::SubmitMultiRouted(
     CompleteTxn(commit, start_us);
   };
 
-  if (inline_mode) {
-    std::lock_guard<std::mutex> seq(seq_mu_);
-    int64_t gid = next_gid_.fetch_add(1, std::memory_order_relaxed);
-    ticket->gid_ = gid;
+  // One round at a time, gid assignment to decision (see round_mu_).
+  std::lock_guard<std::mutex> round(round_mu_);
+  int64_t gid = next_gid_.fetch_add(1, std::memory_order_relaxed);
+  ticket->gid_ = gid;
+  if (running == 0) {
     RunInlineMulti(ticket, std::move(frags_of), std::move(ops_of), parts, gid);
     return ticket;
   }
 
-  if (options_.mode == CoordinationMode::kTwoPhase) round_mu_.lock();
-  std::shared_ptr<MultiTxnControl> control;
-  {
-    // Sequencer critical section: the gid and every participant's enqueue
-    // happen atomically, so per-partition queue order == gid order.
-    std::lock_guard<std::mutex> seq(seq_mu_);
-    int64_t gid = next_gid_.fetch_add(1, std::memory_order_relaxed);
-    ticket->gid_ = gid;
-    control = std::make_shared<MultiTxnControl>(
-        parts.size(), [this, gid] { return AppendCommitDecision(gid); });
-    for (size_t p : parts) {
-      partitions_[p]->SubmitClosure(
-          [this, control, ticket, gid, frags = std::move(frags_of[p]),
-           op_idx = std::move(ops_of[p])](Partition& part) mutable {
-            prepares_.fetch_add(frags.size(), std::memory_order_relaxed);
-            Partition::PreparedMulti prepared =
-                part.PrepareMulti(std::move(frags), gid);
-            Status vote = prepared.vote;
-            Status reason;
-            bool commit = control->VoteAndWait(vote, &reason);
-            if (commit) {
-              std::vector<TxnOutcome> outs;
-              outs.reserve(op_idx.size());
-              part.CommitMulti(prepared, gid, &outs);
-              ticket->FulfillParticipant(op_idx, std::move(outs), true,
-                                         Status::OK());
-            } else {
-              part.AbortMulti(prepared, gid);
-              std::vector<TxnOutcome> outs(op_idx.size());
-              for (TxnOutcome& out : outs) {
-                out.status = vote.ok() ? PeerAbort(reason) : vote;
-              }
-              ticket->FulfillParticipant(op_idx, std::move(outs), false,
-                                         reason);
+  auto control = std::make_shared<MultiTxnControl>(
+      parts.size(), [this, gid] { return AppendCommitDecision(gid); });
+  for (size_t p : parts) {
+    partitions_[p]->SubmitClosure(
+        [this, control, ticket, gid, frags = std::move(frags_of[p]),
+         op_idx = std::move(ops_of[p])](Partition& part) mutable {
+          prepares_.fetch_add(frags.size(), std::memory_order_relaxed);
+          Partition::PreparedMulti prepared =
+              part.PrepareMulti(std::move(frags), gid);
+          Status vote = prepared.vote;
+          Status reason;
+          bool commit = control->VoteAndWait(vote, &reason);
+          if (commit) {
+            std::vector<TxnOutcome> outs;
+            outs.reserve(op_idx.size());
+            part.CommitMulti(prepared, gid, &outs);
+            ticket->FulfillParticipant(op_idx, std::move(outs), true,
+                                       Status::OK());
+          } else {
+            part.AbortMulti(prepared, gid);
+            std::vector<TxnOutcome> outs(op_idx.size());
+            for (TxnOutcome& out : outs) {
+              out.status = vote.ok() ? PeerAbort(reason) : vote;
             }
-          });
-    }
+            ticket->FulfillParticipant(op_idx, std::move(outs), false,
+                                       reason);
+          }
+        });
   }
-  if (options_.mode == CoordinationMode::kTwoPhase) {
-    control->WaitDecided();
-    round_mu_.unlock();
-  }
+  control->WaitDecided();
   return ticket;
 }
 

@@ -17,27 +17,6 @@
 
 namespace sstore {
 
-/// How multi-partition transactions are scheduled across participants.
-enum class CoordinationMode {
-  /// Classic blocking two-phase commit: one multi-partition transaction in
-  /// flight at a time (the coordinator holds the round from submission to
-  /// decision). Simple and obviously deadlock-free; the per-round
-  /// quiescence is exactly the multi-partition cost the paper's
-  /// shared-nothing design avoids paying on the hot path.
-  kTwoPhase,
-  /// Deterministic global order: a single sequencer assigns monotonic
-  /// global transaction ids and enqueues every participant's fragments
-  /// under one lock, so all partitions observe multi-partition transactions
-  /// in the same (id) order. Many transactions can then be in flight at
-  /// once without deadlock — the vote barrier of txn `g` is reachable on
-  /// every participant once all txns < g have decided, a total order with
-  /// no cycles. Same atomicity guarantees as kTwoPhase; higher throughput
-  /// under multi-partition load.
-  kGlobalOrder,
-};
-
-const char* CoordinationModeToString(CoordinationMode mode);
-
 /// One fragment of a multi-partition transaction: which partition runs it
 /// and what it runs. The coordinator groups ops by partition; each
 /// participant executes its ops back-to-back as one isolation unit.
@@ -154,7 +133,6 @@ class WorkerBarrier {
 class TxnCoordinator {
  public:
   struct Options {
-    CoordinationMode mode = CoordinationMode::kTwoPhase;
     /// When non-empty, commit decisions are force-flushed here before any
     /// participant applies them; recovery reads this to resolve in-doubt
     /// transactions. Empty = decisions are not durable (non-logged cluster).
@@ -168,14 +146,10 @@ class TxnCoordinator {
   TxnCoordinator(const TxnCoordinator&) = delete;
   TxnCoordinator& operator=(const TxnCoordinator&) = delete;
 
-  CoordinationMode mode() const { return options_.mode; }
-  /// Valid only while no multi-partition transaction is in flight.
-  void set_mode(CoordinationMode mode) { options_.mode = mode; }
-
-  /// Submits one atomic multi-partition transaction. Returns immediately in
-  /// kGlobalOrder mode; in kTwoPhase mode returns once the decision is made
-  /// (participants may still be applying — Wait() on the ticket for full
-  /// completion). Ops may target any subset of partitions, repeats allowed.
+  /// Submits one atomic multi-partition transaction. Returns once the
+  /// decision is made (participants may still be applying — Wait() on the
+  /// ticket for full completion). Ops may target any subset of partitions,
+  /// repeats allowed.
   MultiKeyTicketPtr SubmitMulti(std::vector<MultiOp> ops);
 
   /// Like SubmitMulti, but the ops are produced by `route` *after* the
@@ -235,7 +209,7 @@ class TxnCoordinator {
   /// durable again by attaching a fresh epoch file here.
   Status AttachDecisionLog(const std::string& path, bool sync);
 
-  /// Restart the sequencer above every gid seen in recovered logs so new
+  /// Restart gid assignment above every gid seen in recovered logs so new
   /// transactions never collide with old decision records.
   void SetNextGlobalTxnId(int64_t gid);
   void NoteInDoubt(uint64_t committed, uint64_t aborted);
@@ -247,8 +221,8 @@ class TxnCoordinator {
 
  private:
   MultiKeyTicketPtr ErrorTicket(size_t num_ops, Status status);
-  /// Undoes the admission gate's in-flight count on paths that error out
-  /// after admission but before a ticket completion would decrement it.
+  /// Undoes the admission gate's in-flight count: at ticket completion, or
+  /// on paths that error out after admission.
   void ReleaseGate();
   /// Force-flushes a commit decision for `gid`; OK when decisions are not
   /// durable. Any-thread safe (the last voter runs on a partition worker).
@@ -273,13 +247,11 @@ class TxnCoordinator {
   Status decision_log_error_;
   std::mutex decision_log_mu_;
 
-  /// Sequencer: gid assignment and fragment enqueue are atomic so every
-  /// partition sees multi-partition transactions in gid order (the
-  /// kGlobalOrder invariant; harmless in kTwoPhase).
-  std::mutex seq_mu_;
-  std::atomic<int64_t> next_gid_{1};
-  /// kTwoPhase round lock, held submission -> decision.
+  /// Round lock, held from gid assignment through fragment enqueue to the
+  /// decision: one multi-partition transaction is in flight at a time, so
+  /// every partition sees them in gid order and rounds cannot deadlock.
   std::mutex round_mu_;
+  std::atomic<int64_t> next_gid_{1};
 
   /// Admission gate for checkpoint quiescence.
   std::mutex gate_mu_;

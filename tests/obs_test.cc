@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -22,6 +23,7 @@
 #include "obs/trace.h"
 #include "server/client.h"
 #include "server/wire_server.h"
+#include "workloads/microbench.h"
 #include "workloads/voter_cluster.h"
 
 namespace sstore {
@@ -365,6 +367,50 @@ TEST(ClusterObsTest, ResetStatsSweepsRegistryWireAndHistogram) {
   std::map<std::string, double> m = FetchParsed(client.get());
   EXPECT_EQ(m.at("sstore_txn_committed_total"), 0.0);
   EXPECT_EQ(m.at("sstore_wire_requests_submitted_total"), 0.0);
+}
+
+// Engine counters are written by each partition worker while any thread
+// may gather them (the checkpointer's byte trigger, the kStats handler):
+// reading them mid-workload must be race-free (run under TSan) and the
+// final totals exact.
+TEST(ClusterObsTest, EngineStatsReadableWhileWorkersRun) {
+  constexpr int kStages = 2;
+  constexpr int kBatchesPerPartition = 200;
+  Cluster cluster(2);
+  for (size_t p = 0; p < cluster.num_partitions(); ++p) {
+    ASSERT_TRUE(EeTriggerChain::SetupSStore(&cluster.store(p), kStages,
+                                            "ingest")
+                    .ok());
+  }
+  cluster.Start();
+
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop.load()) {
+      ClusterStats cs = cluster.GatherStats();
+      EXPECT_LE(cs.engine.gc_deleted_rows, cs.engine.ee_trigger_firings);
+    }
+  });
+  std::vector<BatchTicketPtr> tickets;
+  for (int i = 0; i < kBatchesPerPartition; ++i) {
+    for (size_t p = 0; p < cluster.num_partitions(); ++p) {
+      tickets.push_back(cluster.SubmitBatchToPartition(
+          p, {Invocation{"ingest", {Value::BigInt(i)}, 0}}));
+    }
+  }
+  for (BatchTicketPtr& t : tickets) {
+    t->Wait();
+    EXPECT_EQ(t->committed(), 1u);
+  }
+  cluster.WaitIdle();
+  stop.store(true);
+  reader.join();
+  cluster.Stop();
+
+  ClusterStats cs = cluster.GatherStats();
+  EXPECT_EQ(cs.engine.ee_trigger_firings,
+            static_cast<uint64_t>(2 * kBatchesPerPartition * kStages));
+  EXPECT_EQ(cs.engine.boundary_crossings, 0u);
 }
 
 }  // namespace

@@ -188,6 +188,27 @@ TEST_F(QueryTest, IndexScanWithResidualAndProjection) {
   EXPECT_EQ(rows->size(), 2u);  // contestants 0 at phones 1000,1003,1006,1009; MA = even
 }
 
+TEST_F(QueryTest, IndexScanReturnsRowsInScanOrderAfterSlotReuse) {
+  // Delete contestant 0's first row, then re-insert for contestant 0: the
+  // new row takes the freed, lower slot, so slot order differs from the
+  // index's insertion order.
+  ASSERT_EQ(*exec_.Delete(table_.get(), Eq(Col(0), LitInt(1000))), 1u);
+  ASSERT_TRUE(exec_.Insert(table_.get(), {Value::BigInt(2000), Value::BigInt(0),
+                                          Value::String("MA")})
+                  .ok());
+  Result<std::vector<Tuple>> indexed =
+      exec_.IndexScan(table_.get(), "by_contestant", {Value::BigInt(0)});
+  ScanSpec spec;
+  spec.table = table_.get();
+  spec.predicate = Eq(Col(1), LitInt(0));
+  Result<std::vector<Tuple>> scanned = exec_.Scan(spec);
+  ASSERT_TRUE(indexed.ok());
+  ASSERT_TRUE(scanned.ok());
+  ASSERT_EQ(indexed->size(), 4u);
+  EXPECT_EQ((*indexed)[0][0], Value::BigInt(2000));
+  EXPECT_EQ(*indexed, *scanned);
+}
+
 TEST_F(QueryTest, IndexScanMissingIndexFails) {
   EXPECT_TRUE(exec_.IndexScan(table_.get(), "nope", {Value::BigInt(1)})
                   .status()

@@ -354,6 +354,63 @@ TEST(RebalanceTest, BadPlanFailsBeforeTheFlip) {
   cluster.Stop();
 }
 
+TEST(RebalanceTest, SplitTargetGetsEveryDeployedTopology) {
+  // A second Deploy adds to the first: the split target must receive both
+  // topologies, in deploy order, not only the last one deployed.
+  TopologyBuilder probe("probe");
+  probe.CreateTable("probe_log", Schema({{"p", ValueType::kBigInt}}))
+      .RegisterProcedure(
+          "probe", SpKind::kOltp,
+          std::make_shared<LambdaProcedure>([](ProcContext& ctx) -> Status {
+            int64_t self = ctx.partition()->partition_id();
+            SSTORE_ASSIGN_OR_RETURN(Table * log, ctx.table("probe_log"));
+            SSTORE_ASSIGN_OR_RETURN(
+                RowId rid, ctx.exec().Insert(log, {Value::BigInt(self)}));
+            (void)rid;
+            ctx.EmitOutput({Value::BigInt(self)});
+            return Status::OK();
+          }));
+  Cluster cluster(2);
+  ASSERT_TRUE(cluster.Deploy(KvTopology()).ok());
+  ASSERT_TRUE(cluster.Deploy(probe.BuildOrDie()).ok());
+  cluster.Start();
+  for (int64_t k = 0; k < 16; ++k) {
+    ASSERT_TRUE(
+        cluster.ExecuteSync("put", KeyVal(k, k), Value::BigInt(k)).committed());
+  }
+  cluster.WaitIdle();
+
+  Status st = cluster.Rebalance(SplitPlan(0, MakeDir("two_deploys_ckpt")));
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(cluster.num_partitions(), 3u);
+
+  // The second topology's procedure commits on the new partition too.
+  std::vector<TxnOutcome> outs =
+      cluster.ExecuteOnAll("probe", {Value::BigInt(0)});
+  ASSERT_EQ(outs.size(), 3u);
+  for (size_t p = 0; p < outs.size(); ++p) {
+    ASSERT_TRUE(outs[p].committed())
+        << "partition " << p << ": " << outs[p].status.ToString();
+    ASSERT_EQ(outs[p].output.size(), 1u);
+    EXPECT_EQ(outs[p].output[0][0].as_int64(), static_cast<int64_t>(p));
+  }
+  // And the first topology's table took the migrated keys there.
+  PartitionMap map = cluster.partition_map();
+  int64_t key_on_target = -1;
+  for (int64_t k = 0; k < 16 && key_on_target < 0; ++k) {
+    if (map.PartitionOf(Value::BigInt(k)) == 2) key_on_target = k;
+  }
+  ASSERT_GE(key_on_target, 0);
+  EXPECT_TRUE(cluster
+                  .ExecuteSync("put", KeyVal(key_on_target, 1000),
+                               Value::BigInt(key_on_target))
+                  .committed());
+  cluster.WaitIdle();
+  cluster.Stop();
+  EXPECT_EQ(AllRows(cluster, "kv").size(), 17u);
+  ExpectOwnershipConsistent(cluster, "kv");
+}
+
 TEST(RebalanceTest, StoppedClusterExecuteSyncStillRunsInline) {
   // Cluster::ExecuteSync on a never-started cluster executes inline (the
   // seeding pattern Partition::ExecuteSync supports) instead of queueing
